@@ -98,6 +98,18 @@ async fn commands_execute_and_read_back() {
 }
 
 #[tokio::test(start_paused = true)]
+async fn empty_multi_put_is_a_no_op_write() {
+    let group = Group::new(3, 2);
+    group.await_leader().await;
+    let client = group.client(1);
+    let r = client.update(Op::MultiPut { kvs: vec![] }).await.unwrap();
+    assert_eq!(r, OpResult::Written { version: 0 });
+    // The leader is still serving.
+    let r = client.update(Op::Put { key: b("k"), value: b("v") }).await.unwrap();
+    assert_eq!(r, OpResult::Written { version: 1 });
+}
+
+#[tokio::test(start_paused = true)]
 async fn commutative_commands_take_the_fast_path() {
     let group = Group::new(5, 3);
     group.await_leader().await;

@@ -1007,7 +1007,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use curp_proto::types::{ClientId, RpcId};
-    use curp_storage::{Store, TempDir};
+    use curp_storage::TempDir;
 
     const M: MasterId = MasterId(1);
 
@@ -1119,7 +1119,7 @@ mod tests {
     fn install_rejects_stale_epoch() {
         let bs = BackupService::new();
         bs.set_epoch(M, Epoch(5));
-        let snap = Snapshot::capture(&Store::new(), &RiflTable::new(), 0);
+        let snap = Snapshot::from_parts(Default::default(), RiflTable::new().export(), 0);
         assert!(!bs.install(M, Epoch(4), 0, &snap).unwrap());
         assert!(bs.install(M, Epoch(5), 0, &snap).unwrap());
     }

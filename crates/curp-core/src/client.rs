@@ -118,7 +118,7 @@ pub struct ClientStats {
     pub fast_path: AtomicU64,
     /// Operations completed because the master synced (2 RTT, no client sync).
     pub synced_by_master: AtomicU64,
-    /// Operations that needed an explicit sync RPC (2–3 RTT).
+    /// Operations completed by a successful explicit sync RPC (2–3 RTT).
     pub explicit_sync: AtomicU64,
     /// Full operation restarts.
     pub restarts: AtomicU64,
@@ -294,35 +294,49 @@ impl CurpClient {
             Err(e) => return TryOutcome::RefreshAndRetry(format!("master rpc: {e}")),
         };
 
-        if synced {
-            // Durable on backups; witness outcomes are irrelevant (§3.2.3).
-            self.stats.synced_by_master.fetch_add(1, Ordering::Relaxed);
-            return TryOutcome::Done(result);
-        }
-        if !self.cfg.record_witnesses {
-            // Async-replication baseline: externalize without durability.
-            self.stats.fast_path.fetch_add(1, Ordering::Relaxed);
-            return TryOutcome::Done(result);
-        }
         let all_accepted = !witnesses.is_empty()
             && witness_rsps.iter().all(|r| matches!(r, Ok(Response::RecordAccepted)));
-        if all_accepted || part.fault_tolerance() == 0 {
-            // 1-RTT fast path: recorded on all f witnesses (§3.2.1).
-            self.stats.fast_path.fetch_add(1, Ordering::Relaxed);
+        if self.resolve(part, synced, all_accepted) == Resolution::Done {
             return TryOutcome::Done(result);
         }
-
-        // Slow path: ask the master to make it durable on backups. The sync
-        // names the incarnation that executed this op speculatively — a
-        // recovered successor on the same server must refuse rather than
-        // vouch for entries it never held.
-        self.stats.explicit_sync.fetch_add(1, Ordering::Relaxed);
-        match self.rpc.call(part.master, Request::Sync { master_id: part.master_id }).await {
-            Ok(Response::SyncDone) => TryOutcome::Done(result),
+        match self.explicit_sync(part, 1).await {
+            Ok(()) => TryOutcome::Done(result),
             // "If there is no response to the sync RPC ... the client
             // restarts the entire process" (§3.2.1).
-            Ok(other) => TryOutcome::RefreshAndRetry(format!("sync refused: {other:?}")),
-            Err(e) => TryOutcome::RefreshAndRetry(format!("sync rpc: {e}")),
+            Err(reason) => TryOutcome::RefreshAndRetry(reason),
+        }
+    }
+
+    /// The completion rule (§3.2.1) for the serial and pipelined paths: an
+    /// executed update is done if the master synced it (§3.2.3), if the
+    /// client runs the *Async* baseline, or if all `f` witnesses accepted
+    /// it (trivially when `f = 0`); otherwise it needs an
+    /// [`explicit_sync`](Self::explicit_sync). `Done` bumps its path counter.
+    fn resolve(&self, part: &PartitionConfig, synced: bool, all_accepted: bool) -> Resolution {
+        let counter = if synced {
+            &self.stats.synced_by_master
+        } else if !self.cfg.record_witnesses || all_accepted || part.fault_tolerance() == 0 {
+            &self.stats.fast_path
+        } else {
+            return Resolution::NeedsSync;
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Resolution::Done
+    }
+
+    /// The slow path: makes the master's unsynced prefix durable, completing
+    /// (and counting) `ops` updates, or says why it failed. The sync names
+    /// the incarnation that executed them, so a recovered successor on the
+    /// same server refuses rather than vouch for entries it never held
+    /// (DESIGN.md invariant 8).
+    async fn explicit_sync(&self, part: &PartitionConfig, ops: u64) -> Result<(), String> {
+        match self.rpc.call(part.master, Request::Sync { master_id: part.master_id }).await {
+            Ok(Response::SyncDone) => {
+                self.stats.explicit_sync.fetch_add(ops, Ordering::Relaxed);
+                Ok(())
+            }
+            Ok(other) => Err(format!("sync refused: {other:?}")),
+            Err(e) => Err(format!("sync rpc: {e}")),
         }
     }
 
@@ -410,6 +424,13 @@ impl CurpClient {
 enum TryOutcome {
     Done(OpResult),
     RefreshAndRetry(String),
+}
+
+/// [`CurpClient::resolve`]'s verdict on one update the master executed.
+#[derive(PartialEq, Eq)]
+enum Resolution {
+    Done,
+    NeedsSync,
 }
 
 // ---- pipelined mode ---------------------------------------------------------
@@ -714,19 +735,10 @@ async fn flush_batch(
             // (and with it completion-record GC) would stall behind them.
             Response::Read { result } => complete(&inner, p, result),
             Response::Update { result, synced } => {
-                if synced {
-                    inner.stats.synced_by_master.fetch_add(1, Ordering::Relaxed);
-                    complete(&inner, p, result);
-                } else if !record_witnesses
-                    // Async baseline completes unrecorded; otherwise the
-                    // 1-RTT rule: all f witnesses accepted (or f == 0).
-                    || accepted_at.remove(&i).unwrap_or(false)
-                    || part.fault_tolerance() == 0
-                {
-                    inner.stats.fast_path.fetch_add(1, Ordering::Relaxed);
-                    complete(&inner, p, result);
-                } else {
-                    need_sync.push((p, result));
+                let all_accepted = accepted_at.remove(&i).unwrap_or(false);
+                match inner.resolve(&part, synced, all_accepted) {
+                    Resolution::Done => complete(&inner, p, result),
+                    Resolution::NeedsSync => need_sync.push((p, result)),
                 }
             }
             // NotOwner (the range split away) / StaleWitnessList / Retry
@@ -739,20 +751,14 @@ async fn flush_batch(
 
     if !need_sync.is_empty() {
         // One explicit sync covers every op in the flush: a successful sync
-        // makes the master's whole unsynced prefix durable (§3.2.3). Like
-        // the unbatched path, it is bound to the incarnation that executed
-        // the flush — a recovered successor must refuse.
-        match inner.rpc.call(part.master, Request::Sync { master_id: part.master_id }).await {
-            Ok(Response::SyncDone) => {
-                for (p, result) in need_sync {
-                    inner.stats.explicit_sync.fetch_add(1, Ordering::Relaxed);
-                    complete(&inner, p, result);
-                }
+        // makes the master's whole unsynced prefix durable (§3.2.3).
+        if inner.explicit_sync(&part, need_sync.len() as u64).await.is_ok() {
+            for (p, result) in need_sync {
+                complete(&inner, p, result);
             }
-            _ => {
-                for (p, _) in need_sync {
-                    fallback(&inner, p);
-                }
+        } else {
+            for (p, _) in need_sync {
+                fallback(&inner, p);
             }
         }
     }

@@ -38,7 +38,7 @@ use curp_proto::cluster::{ClusterConfig, HashRange, LoadStats, PartitionConfig};
 use curp_proto::lockrank;
 use curp_proto::message::{Request, Response};
 use curp_proto::types::{ClientId, Epoch, MasterId, ServerId, WitnessListVersion};
-use curp_rifl::LeaseManager;
+use curp_rifl::{LeaseManager, RiflTable};
 use curp_storage::IntentLog;
 use curp_transport::rpc::{BoxFuture, RpcClient, RpcHandler};
 use parking_lot::Mutex;
@@ -1050,7 +1050,8 @@ impl Coordinator {
                 other => return Err(format!("backup install failed: {other:?}")),
             }
         }
-        let (store, rifl) = Snapshot::restore(&snap);
+        let Snapshot { objects, dead_versions, rifl, .. } = snap;
+        let store = self.master_cfg.store.build_import(objects, dead_versions);
         let master = Master::with_state(
             MasterSeed {
                 id: spec.new_id,
@@ -1063,7 +1064,7 @@ impl Coordinator {
             self.master_cfg.clone(),
             Arc::clone(&rpc),
             store,
-            rifl,
+            RiflTable::import(rifl),
             0,
         );
         master.spawn_syncer();

@@ -50,7 +50,7 @@ use curp_proto::message::{LogEntry, RecordedRequest, Request, Response};
 use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{Epoch, KeyHash, MasterId, RpcId, ServerId, WitnessListVersion};
 use curp_rifl::{CheckResult, RiflTable};
-use curp_storage::{StateStore, Store, StoreConfig};
+use curp_storage::{StateStore, StoreConfig};
 use curp_transport::rpc::RpcClient;
 use parking_lot::Mutex;
 use tokio::sync::{watch, Notify};
@@ -142,7 +142,7 @@ pub struct MasterStats {
 /// same mutex (the `Ext` parameter of [`StateStore`]): one lock per
 /// operation covers the key space, the pending tail, and the hot-key scan.
 #[derive(Default)]
-struct ShardMeta {
+pub(crate) struct ShardMeta {
     /// Executed but not yet replicated entries whose *home shard* (lowest
     /// shard index of the op's footprint) is this shard, in seq order.
     pending: Vec<LogEntry>,
@@ -237,21 +237,22 @@ pub struct MasterSeed {
 impl Master {
     /// Creates a fresh, empty master.
     pub fn new(seed: MasterSeed, cfg: MasterConfig, rpc: Arc<dyn RpcClient>) -> Arc<Master> {
-        Self::with_state(seed, cfg, rpc, Store::new(), RiflTable::new(), 0)
+        let store = cfg.store.build();
+        Self::with_state(seed, cfg, rpc, store, RiflTable::new(), 0)
     }
 
-    /// Creates a master over restored state (recovery, migration). The
-    /// single-space `store` is re-sharded across `cfg.store_shards`.
-    pub fn with_state(
+    /// Creates a master over restored state (recovery, migration): `store`
+    /// is the replica `cfg.store` built from the restored snapshot
+    /// ([`StoreConfig::build_import`]).
+    pub(crate) fn with_state(
         seed: MasterSeed,
         cfg: MasterConfig,
         rpc: Arc<dyn RpcClient>,
-        store: Store,
+        store: Box<dyn StateStore<ShardMeta>>,
         rifl: RiflTable,
         next_seq: u64,
     ) -> Arc<Master> {
         let sync_workers = cfg.sync_workers.max(1);
-        let store = cfg.store.build_from_store(store);
         Arc::new(Master {
             id: seed.id,
             cfg,
@@ -941,8 +942,10 @@ impl Master {
             Response::BackupData { next_seq, snapshot } => (next_seq, snapshot),
             other => return Err(format!("unexpected fetch response: {other:?}")),
         };
-        let snap = Snapshot::from_blob(&snapshot).map_err(|e| e.to_string())?;
-        let (store, mut rifl) = snap.restore();
+        let Snapshot { objects, dead_versions, rifl, .. } =
+            Snapshot::from_blob(&snapshot).map_err(|e| e.to_string())?;
+        let store = cfg.store.build_import(objects, dead_versions);
+        let mut rifl = RiflTable::import(rifl);
 
         // Step 2: freeze one witness and take its requests.
         let rsp = rpc

@@ -1,7 +1,9 @@
 //! Replica snapshots: the unit of state transfer for recovery and backup
 //! (re)installation.
 //!
-//! A snapshot bundles a materialized [`Store`], the RIFL completion records
+//! A snapshot bundles a store's exported state
+//! ([`StateStore::export`](curp_storage::StateStore::export)), the RIFL
+//! completion records
 //! (which must travel with the data they describe — §3.3: "The IDs and
 //! results are durably preserved with updated objects in an atomic fashion"),
 //! and the log-entry sequence number the state corresponds to. Snapshots are
@@ -12,8 +14,7 @@ use bytes::{Buf, BufMut, Bytes};
 use curp_proto::op::OpResult;
 use curp_proto::types::ClientId;
 use curp_proto::wire::{decode_seq, encode_seq, seq_encoded_len, Decode, DecodeError, Encode};
-use curp_rifl::RiflTable;
-use curp_storage::{Object, Store};
+use curp_storage::Object;
 
 /// A serializable replica state.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,12 +31,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Captures the state of a store + RIFL table at entry `next_seq`.
-    pub fn capture(store: &Store, rifl: &RiflTable, next_seq: u64) -> Self {
-        let (objects, dead_versions) = store.export();
-        Snapshot { objects, dead_versions, rifl: rifl.export(), next_seq }
-    }
-
     /// Assembles a snapshot from an already-exported store state (the
     /// sharded engine exports under its own shard locks) plus an exported
     /// RIFL table.
@@ -46,13 +41,6 @@ impl Snapshot {
     ) -> Self {
         let (objects, dead_versions) = export;
         Snapshot { objects, dead_versions, rifl, next_seq }
-    }
-
-    /// Materializes the snapshot into a fresh store and RIFL table.
-    pub fn restore(&self) -> (Store, RiflTable) {
-        let store = Store::import(self.objects.clone(), self.dead_versions.clone());
-        let rifl = RiflTable::import(self.rifl.clone());
-        (store, rifl)
     }
 
     /// Encodes to the opaque wire blob.
@@ -131,42 +119,49 @@ mod tests {
     use super::*;
     use curp_proto::op::Op;
     use curp_proto::types::RpcId;
-    use curp_rifl::CheckResult;
+    use curp_rifl::{CheckResult, RiflTable};
+    use curp_storage::ShardedStore;
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
+    fn capture(store: &ShardedStore, rifl: &RiflTable, next_seq: u64) -> Snapshot {
+        Snapshot::from_parts(store.export(), rifl.export(), next_seq)
+    }
+
     #[test]
     fn capture_restore_roundtrip() {
-        let mut store = Store::new();
+        let store: ShardedStore = ShardedStore::new(4);
         store.execute(&Op::Put { key: b("k"), value: b("v") });
         store.execute(&Op::Incr { key: b("c"), delta: 4 });
         store.mark_synced(store.log_head());
         let mut rifl = RiflTable::new();
         rifl.record(RpcId::new(ClientId(1), 3), OpResult::Written { version: 1 });
 
-        let snap = Snapshot::capture(&store, &rifl, 2);
+        let snap = capture(&store, &rifl, 2);
         let blob = snap.to_blob();
         let back = Snapshot::from_blob(&blob).unwrap();
         assert_eq!(back, snap);
 
-        let (store2, rifl2) = back.restore();
+        let Snapshot { objects, dead_versions, rifl: rifl_rows, next_seq } = back;
+        let store2: ShardedStore = ShardedStore::import(4, objects, dead_versions);
+        let rifl2 = RiflTable::import(rifl_rows);
         assert_eq!(
-            store2.get_object(b"k").map(|o| o.value.clone()),
-            store.get_object(b"k").map(|o| o.value.clone())
+            store2.get_object(b"k").map(|o| o.value),
+            store.get_object(b"k").map(|o| o.value)
         );
         assert!(!store2.has_unsynced());
         assert_eq!(
             rifl2.check(RpcId::new(ClientId(1), 3)),
             CheckResult::Duplicate(OpResult::Written { version: 1 })
         );
-        assert_eq!(back.next_seq, 2);
+        assert_eq!(next_seq, 2);
     }
 
     #[test]
     fn empty_snapshot_roundtrip() {
-        let snap = Snapshot::capture(&Store::new(), &RiflTable::new(), 0);
+        let snap = capture(&ShardedStore::new(1), &RiflTable::new(), 0);
         let back = Snapshot::from_blob(&snap.to_blob()).unwrap();
         assert_eq!(back, snap);
     }
@@ -174,7 +169,7 @@ mod tests {
     #[test]
     fn identical_states_produce_identical_blobs() {
         let build = || {
-            let mut store = Store::new();
+            let store: ShardedStore = ShardedStore::new(4);
             for i in 0..20 {
                 store.execute(&Op::Put { key: b(&format!("k{i}")), value: b("v") });
             }
@@ -182,7 +177,7 @@ mod tests {
             for i in 0..5 {
                 rifl.record(RpcId::new(ClientId(i), 1), OpResult::Written { version: 1 });
             }
-            Snapshot::capture(&store, &rifl, 20).to_blob()
+            capture(&store, &rifl, 20).to_blob()
         };
         assert_eq!(build(), build());
     }

@@ -2,6 +2,7 @@
 //! conflicts, crash recovery, reconfiguration, migration, zombies, leases
 //! and consistent backup reads.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -14,6 +15,7 @@ use curp_proto::cluster::HashRange;
 use curp_proto::message::{Request, Response};
 use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{MasterId, ServerId};
+use curp_transport::rpc::RpcHandler;
 use curp_transport::MemNetwork;
 use curp_witness::cache::CacheConfig;
 
@@ -129,6 +131,52 @@ async fn conflicting_write_takes_synced_path() {
     // And the witnesses were garbage-collected.
     tokio::time::sleep(Duration::from_millis(50)).await; // let gc RPCs land
     assert_eq!(cluster.server(2).witness().occupancy(cluster.master_id), 0);
+}
+
+#[tokio::test(start_paused = true)]
+async fn refused_sync_then_retry_counts_the_op_once() {
+    let cluster = TestCluster::new(3, lazy_cfg()).await;
+    let client = cluster.client().await;
+    // Another client's record for "k" sits on every witness, so this
+    // client's records are rejected and its update needs an explicit sync.
+    let op = put("k", "v");
+    let stray = curp_proto::message::RecordedRequest {
+        master_id: cluster.master_id,
+        rpc_id: curp_proto::types::RpcId::new(curp_proto::types::ClientId(999), 1),
+        key_hashes: op.key_hashes(),
+        op: op.clone(),
+    };
+    let raw = cluster.net.client(ServerId(503));
+    for w in 2..=4 {
+        let rsp =
+            raw.call(ServerId(w), Request::WitnessRecord { request: stray.clone() }).await.unwrap();
+        assert_eq!(rsp, Response::RecordAccepted);
+    }
+    // The master refuses the first Sync; the client restarts the op under
+    // the same RIFL id and completes through a second, successful Sync.
+    let server = ServerHandler(Arc::clone(cluster.server(1)));
+    let refused = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let handler = move |from: ServerId, req: Request| {
+        let first_sync =
+            matches!(req, Request::Sync { .. }) && !refused.swap(true, Ordering::SeqCst);
+        let rsp = (!first_sync).then(|| server.handle(from, req));
+        async move {
+            match rsp {
+                Some(rsp) => rsp.await,
+                None => Response::Retry { reason: "sync refused for the test".into() },
+            }
+        }
+    };
+    cluster.net.add_simple_server(ServerId(1), Arc::new(handler));
+
+    assert_eq!(client.update(op).await.unwrap(), OpResult::Written { version: 1 });
+    let s = &client.stats;
+    assert_eq!(s.restarts.load(Ordering::Relaxed), 1, "the refused sync restarted the op");
+    assert_eq!(s.explicit_sync.load(Ordering::Relaxed), 1);
+    let total = s.fast_path.load(Ordering::Relaxed)
+        + s.synced_by_master.load(Ordering::Relaxed)
+        + s.explicit_sync.load(Ordering::Relaxed);
+    assert_eq!(total, 1, "one op completes through exactly one path");
 }
 
 #[tokio::test(start_paused = true)]

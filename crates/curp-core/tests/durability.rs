@@ -9,7 +9,7 @@ use curp_proto::message::LogEntry;
 use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{ClientId, Epoch, MasterId, RpcId};
 use curp_rifl::RiflTable;
-use curp_storage::{Aof, Store, TempDir};
+use curp_storage::{Aof, ShardedStore, TempDir};
 
 const M: MasterId = MasterId(1);
 
@@ -104,11 +104,11 @@ fn install_persists_snapshot_and_later_syncs_extend_it() {
     let blob_next;
     {
         // Materialize some state to snapshot.
-        let mut store = Store::new();
+        let store: ShardedStore = ShardedStore::new(1);
         store.execute(&Op::Put { key: b("base"), value: b("snap") });
         let mut rifl = RiflTable::new();
         rifl.record(RpcId::new(ClientId(9), 1), OpResult::Written { version: 1 });
-        let snap = Snapshot::capture(&store, &rifl, 5);
+        let snap = Snapshot::from_parts(store.export(), rifl.export(), 5);
         blob_next = 5u64;
 
         let bs = BackupService::durable(dir.path()).unwrap();

@@ -3,7 +3,8 @@
 //! parking_lot shim: the auditor proves the discipline holds on executed
 //! paths; this pass keeps the source free of constructs the auditor cannot
 //! see (unranked locks, raw `std::sync`, real clocks in deterministic
-//! code, unaudited unwraps, ack-before-fsync orderings).
+//! code, unaudited unwraps, ack-before-fsync orderings, scratch paths
+//! hand-built under the shared temp root).
 //!
 //! Run with `cargo run -p curp-lint` from anywhere in the workspace; CI
 //! runs it beside clippy. Exit status 1 means findings were printed, one
@@ -17,15 +18,23 @@ use std::path::{Path, PathBuf};
 
 use rules::{Allowlist, FileCtx, Finding};
 
-/// Lints every `crates/*/src/**/*.rs` under `root` (the workspace root),
-/// applying `allow` and returning the surviving findings sorted by path
-/// and line.
+/// Lints every `crates/*/src/**/*.rs` under `root` (the workspace root)
+/// with all rules, and `crates/*/{tests,benches}/**/*.rs` with the
+/// `temp-dir` rule only, applying `allow` and returning the surviving
+/// findings sorted by path and line.
 pub fn lint_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<Vec<Finding>> {
-    // crate dir -> its source files.
+    // crate dir -> its source files; and every test/bench file.
     let mut by_crate: BTreeMap<PathBuf, Vec<PathBuf>> = BTreeMap::new();
+    let mut harness_files = Vec::new();
     let crates_dir = root.join("crates");
     for entry in std::fs::read_dir(&crates_dir)? {
         let crate_dir = entry?.path();
+        for harness in ["tests", "benches"] {
+            let dir = crate_dir.join(harness);
+            if dir.is_dir() {
+                collect_rs(&dir, &mut harness_files)?;
+            }
+        }
         let src = crate_dir.join("src");
         if !src.is_dir() {
             continue;
@@ -35,6 +44,8 @@ pub fn lint_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<Vec<Fin
         files.sort();
         by_crate.insert(crate_dir, files);
     }
+    let rel_path =
+        |f: &Path| f.strip_prefix(root).unwrap_or(f).to_string_lossy().replace('\\', "/");
 
     let mut findings = Vec::new();
     for (crate_dir, files) in &by_crate {
@@ -47,8 +58,7 @@ pub fn lint_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<Vec<Fin
             .iter()
             .map(|f| {
                 let text = std::fs::read_to_string(f)?;
-                let rel = f.strip_prefix(root).unwrap_or(f).to_string_lossy().replace('\\', "/");
-                Ok((rel, lexer::lex(&text)))
+                Ok((rel_path(f), lexer::lex(&text)))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         let lexed_refs: Vec<&lexer::Lexed> = sources.iter().map(|(_, l)| l).collect();
@@ -59,6 +69,18 @@ pub fn lint_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<Vec<Fin
                 FileCtx { path: rel, lexed, test_tokens: &test_tokens, crate_has_ranked_locks };
             rules::run_all(&ctx, &mut findings);
         }
+    }
+    for f in &harness_files {
+        let lexed = lexer::lex(&std::fs::read_to_string(f)?);
+        let test_tokens = rules::test_token_mask(&lexed);
+        let path = rel_path(f);
+        let ctx = FileCtx {
+            path: &path,
+            lexed: &lexed,
+            test_tokens: &test_tokens,
+            crate_has_ranked_locks: false,
+        };
+        rules::rule_temp_dir(&ctx, &mut findings);
     }
     rules::dedup(&mut findings);
     findings.retain(|f| !allow.allows(f));

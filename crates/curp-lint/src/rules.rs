@@ -12,6 +12,7 @@
 //! | `std-time`        | `std::time::Instant`/`SystemTime` in deterministic code|
 //! | `unwrap-expect`   | `.unwrap()`/`.expect(` in audited fast-path crates    |
 //! | `ack-before-fsync`| ack construction before a later fsync in durable code |
+//! | `temp-dir`        | `std::env::temp_dir` outside `TempDir` (tests too)    |
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -67,6 +68,10 @@ pub const DURABLE_FILES: &[&str] =
 pub const ACK_TOKENS: &[&str] =
     &["BackupSynced", "BackupInstalled", "RecordAccepted", "SyncDone", "WitnessStarted"];
 
+/// The one file allowed to name `std::env::temp_dir`: every other scratch
+/// path goes through its uniquely named, self-cleaning `TempDir`.
+pub const TEMP_DIR_HOME: &str = "crates/curp-storage/src/tempdir.rs";
+
 /// Fsync-performing method names.
 const FSYNC_TOKENS: &[&str] = &["sync_data", "sync_all", "fsync_dir"];
 
@@ -77,6 +82,7 @@ pub fn run_all(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     rule_std_time(ctx, out);
     rule_unwrap_expect(ctx, out);
     rule_ack_before_fsync(ctx, out);
+    rule_temp_dir(ctx, out);
 }
 
 /// Computes, per token index, whether the token sits inside a test-gated
@@ -366,6 +372,45 @@ fn rule_ack_before_fsync(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 message: format!(
                     "`{name}` constructed before a later fsync in a durable module; verify the covering fsync precedes the ack and mark `// lint: ack-after-fsync`"
                 ),
+            });
+        }
+    }
+}
+
+/// `std::env::temp_dir` (or `env::temp_dir` after `use std::env`) outside
+/// [`TEMP_DIR_HOME`]. Hand-built scratch paths under the shared temp root
+/// collide between parallel tests; `TempDir` names each directory uniquely
+/// and removes it on drop. Unlike the other rules this one covers test
+/// code, and the workspace scan also runs it over `crates/*/tests` and
+/// `crates/*/benches`.
+pub fn rule_temp_dir(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+    if ctx.path.ends_with(TEMP_DIR_HOME) {
+        return;
+    }
+    let lexed = ctx.lexed;
+    for i in 0..lexed.tokens.len() {
+        if ident_at(lexed, i) != Some("env") || !path_sep(lexed, i + 1) {
+            continue;
+        }
+        // `env::temp_dir` directly, or inside a grouped `env::{..}` import.
+        let mut hits = Vec::new();
+        if ident_at(lexed, i + 3) == Some("temp_dir") {
+            hits.push(i + 3);
+        } else if punct_at(lexed, i + 3, '{') {
+            let mut j = i + 4;
+            while j < lexed.tokens.len() && !punct_at(lexed, j, '}') {
+                if ident_at(lexed, j) == Some("temp_dir") {
+                    hits.push(j);
+                }
+                j += 1;
+            }
+        }
+        for j in hits {
+            out.push(Finding {
+                path: ctx.path.into(),
+                line: lexed.tokens[j].line,
+                rule: "temp-dir",
+                message: "`std::env::temp_dir` scratch paths collide between parallel tests; use `curp_storage::TempDir`".into(),
             });
         }
     }

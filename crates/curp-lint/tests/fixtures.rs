@@ -76,6 +76,28 @@ fn ack_fsync_fixture_fails_only_under_durable_names() {
 }
 
 #[test]
+fn temp_dir_fixture_fails_everywhere_but_tempdir_rs() {
+    let f = lint_fixture("temp_dir.rs", "crates/x/tests/temp_dir.rs", false);
+    let rendered: Vec<String> = f
+        .iter()
+        .filter(|x| x.rule == "temp-dir")
+        .map(|x| x.to_string().split(": ").take(2).collect::<Vec<_>>().join(": "))
+        .collect();
+    assert_eq!(
+        rendered,
+        [
+            "crates/x/tests/temp_dir.rs:3: temp-dir",
+            "crates/x/tests/temp_dir.rs:6: temp-dir",
+            "crates/x/tests/temp_dir.rs:18: temp-dir",
+        ],
+        "grouped import, direct call, and test code are all flagged"
+    );
+    // The `TempDir` implementation itself is the one sanctioned caller.
+    let quiet = lint_fixture("temp_dir.rs", "crates/curp-storage/src/tempdir.rs", false);
+    assert_eq!(lines_for(&quiet, "temp-dir"), Vec::<u32>::new());
+}
+
+#[test]
 fn allowlist_suppresses_by_rule_and_suffix() {
     let allow = Allowlist::parse(
         "# comment\n\nunwrap-expect curp-core/src/unwrap.rs\nstd-sync some/other.rs\n",

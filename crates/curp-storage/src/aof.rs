@@ -249,16 +249,17 @@ mod tests {
         }
     }
 
-    fn tmpfile(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("curp-aof-test-{}-{}", std::process::id(), name));
-        let _ = std::fs::remove_file(&p);
-        p
+    /// A log path inside a fresh scratch directory, removed when the
+    /// returned guard drops.
+    fn tmpfile(name: &str) -> (crate::TempDir, std::path::PathBuf) {
+        let dir = crate::TempDir::new("curp-aof-test").unwrap();
+        let path = dir.path().join(name);
+        (dir, path)
     }
 
     #[test]
     fn append_and_load() {
-        let path = tmpfile("roundtrip");
+        let (_dir, path) = tmpfile("roundtrip");
         {
             let mut aof = Aof::open(&path, FsyncPolicy::Always).unwrap();
             for i in 0..10 {
@@ -271,12 +272,11 @@ mod tests {
         assert_eq!(loaded.entries.len(), 10);
         assert_eq!(loaded.entries[3], entry(3));
         assert!(!loaded.truncated, "clean file must not report a torn tail");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn batch_append_counts() {
-        let path = tmpfile("batch");
+        let (_dir, path) = tmpfile("batch");
         let mut aof = Aof::open(&path, FsyncPolicy::Manual).unwrap();
         let batch: Vec<_> = (0..5).map(entry).collect();
         aof.append_batch(&batch).unwrap();
@@ -285,12 +285,11 @@ mod tests {
         aof.sync().unwrap();
         assert_eq!(aof.synced(), 5);
         assert_eq!(Aof::load(&path).unwrap().entries.len(), 5);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn never_policy_never_reports_synced() {
-        let path = tmpfile("never");
+        let (_dir, path) = tmpfile("never");
         let mut aof = Aof::open(&path, FsyncPolicy::Never).unwrap();
         for i in 0..4 {
             aof.append(&entry(i)).unwrap();
@@ -298,12 +297,11 @@ mod tests {
         aof.sync().unwrap();
         assert_eq!(aof.appended(), 4);
         assert_eq!(aof.synced(), 0, "no fsync happened, so nothing is durable");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn missing_file_loads_empty() {
-        let path = tmpfile("missing");
+        let (_dir, path) = tmpfile("missing");
         let loaded = Aof::load(&path).unwrap();
         assert!(loaded.entries.is_empty());
         assert!(!loaded.truncated);
@@ -311,7 +309,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_discarded() {
-        let path = tmpfile("torn");
+        let (_dir, path) = tmpfile("torn");
         {
             let mut aof = Aof::open(&path, FsyncPolicy::Always).unwrap();
             for i in 0..3 {
@@ -326,12 +324,11 @@ mod tests {
         let loaded = Aof::load(&path).unwrap();
         assert_eq!(loaded.entries.len(), 2, "torn third record dropped");
         assert!(loaded.truncated, "the tear must be reported");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn mid_log_corruption_is_an_error_not_a_truncation() {
-        let path = tmpfile("midlog");
+        let (_dir, path) = tmpfile("midlog");
         {
             let mut aof = Aof::open(&path, FsyncPolicy::Always).unwrap();
             for i in 0..3 {
@@ -347,12 +344,11 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
         let err = Aof::load(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn corrupt_length_prefix_is_an_error() {
-        let path = tmpfile("badlen");
+        let (_dir, path) = tmpfile("badlen");
         {
             let mut aof = Aof::open(&path, FsyncPolicy::Always).unwrap();
             aof.append(&entry(0)).unwrap();
@@ -364,12 +360,11 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
         let err = Aof::load(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn reopen_appends_after_existing_entries() {
-        let path = tmpfile("reopen");
+        let (_dir, path) = tmpfile("reopen");
         {
             let mut aof = Aof::open(&path, FsyncPolicy::Always).unwrap();
             aof.append(&entry(0)).unwrap();
@@ -381,6 +376,5 @@ mod tests {
         let loaded = Aof::load(&path).unwrap();
         assert_eq!(loaded.entries.len(), 2);
         assert_eq!(loaded.entries[1].seq, 1);
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -209,16 +209,17 @@ fn decode_record(frame: &[u8]) -> Option<(u8, u64, Vec<u8>)> {
 mod tests {
     use super::*;
 
-    fn tmplog(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("curp-intent-test-{}-{}", std::process::id(), name));
-        let _ = std::fs::remove_file(&p);
-        p
+    /// A log path inside a fresh scratch directory, removed when the
+    /// returned guard drops.
+    fn tmplog(name: &str) -> (crate::TempDir, PathBuf) {
+        let dir = crate::TempDir::new("curp-intent-test").unwrap();
+        let path = dir.path().join(name);
+        (dir, path)
     }
 
     #[test]
     fn begin_step_close_roundtrip() {
-        let path = tmplog("roundtrip");
+        let (_dir, path) = tmplog("roundtrip");
         {
             let (mut log, open) = IntentLog::open(&path).unwrap();
             assert!(open.is_empty());
@@ -233,12 +234,11 @@ mod tests {
         assert_eq!(open.len(), 1, "closed plan compacted away");
         assert_eq!(open[0].begin, b"plan-b");
         assert!(open[0].steps.is_empty());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn open_plan_keeps_step_order() {
-        let path = tmplog("steps");
+        let (_dir, path) = tmplog("steps");
         {
             let (mut log, _) = IntentLog::open(&path).unwrap();
             let id = log.begin(b"recover").unwrap();
@@ -252,12 +252,11 @@ mod tests {
             open[0].steps,
             vec![b"fence".to_vec(), b"witness".to_vec(), b"install".to_vec()]
         );
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn plan_ids_stay_monotonic_across_reopen() {
-        let path = tmplog("monotonic");
+        let (_dir, path) = tmplog("monotonic");
         let first = {
             let (mut log, _) = IntentLog::open(&path).unwrap();
             log.begin(b"p").unwrap()
@@ -267,12 +266,11 @@ mod tests {
             log.begin(b"q").unwrap()
         };
         assert!(second > first, "{second} must exceed {first}");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn torn_tail_is_dropped_and_healed() {
-        let path = tmplog("torn");
+        let (_dir, path) = tmplog("torn");
         {
             let (mut log, _) = IntentLog::open(&path).unwrap();
             let id = log.begin(b"plan").unwrap();
@@ -289,12 +287,11 @@ mod tests {
         // The compaction rewrite healed the tear: a re-open sees clean state.
         let (_, open2) = IntentLog::open(&path).unwrap();
         assert_eq!(open2, open);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn mid_log_corruption_is_refused() {
-        let path = tmplog("midlog");
+        let (_dir, path) = tmplog("midlog");
         {
             let (mut log, _) = IntentLog::open(&path).unwrap();
             let id = log.begin(b"plan-one").unwrap();
@@ -308,12 +305,11 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
         let err = IntentLog::open(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn injected_fault_fails_without_writing() {
-        let path = tmplog("fault");
+        let (_dir, path) = tmplog("fault");
         {
             let (mut log, _) = IntentLog::open(&path).unwrap();
             log.set_fail_after(Some(2));
@@ -325,15 +321,13 @@ mod tests {
         }
         let (_, open) = IntentLog::open(&path).unwrap();
         assert_eq!(open[0].steps, vec![b"ok-step".to_vec()], "failed record never hit disk");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn missing_file_is_an_empty_log() {
-        let path = tmplog("missing");
+        let (_dir, path) = tmplog("missing");
         let (log, open) = IntentLog::open(&path).unwrap();
         assert!(open.is_empty());
         assert_eq!(log.recorded(), 0);
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -5,16 +5,14 @@
 //! locks, snapshot export, durable-frontier bookkeeping, quiesce) — plus
 //! two engines implementing it and the durable-log primitives they share:
 //!
-//! * [`ShardedStore`] — the in-memory engine: one [`Store`] key space per
-//!   shard behind its own lock, global atomic log counters, so commuting
+//! * [`ShardedStore`] — the in-memory engine: one key space per shard
+//!   behind its own lock, global atomic log counters, so commuting
 //!   operations (CURP's fast-path case, §4.3) execute without contending
-//!   on a single global lock.
+//!   on a single global lock. A 1-shard instance is the single-space store.
 //! * [`TieredStore`] — the larger-than-memory engine: a `ShardedStore`
 //!   memtable over sorted-run files ([`RunFile`]) flushed in write
 //!   batches with the AOF frame/fsync discipline, a sparse index for
 //!   reads that miss the memtable, and background run merging.
-//! * [`Store`] — the single-space building block both engines are made
-//!   of (and the unit the snapshot codec round-trips through).
 //! * [`Aof`] — a Redis-style append-only file with configurable fsync
 //!   policy (§5.4), including crash-safe whole-log rewrite
 //!   ([`Aof::rewrite`]) for bounded-log compaction.
@@ -47,7 +45,7 @@ pub use frames::{decode_frames, load_framed, FramesOutcome};
 pub use intent::{IntentLog, OpenPlan};
 pub use runfile::{RunFile, RunRecord};
 pub use sharded::{ShardGuards, ShardedStore, DEFAULT_STORE_SHARDS};
-pub use store::{Object, Store, StoreExport, Value};
+pub use store::{Object, StoreExport, Value};
 pub use tempdir::TempDir;
 pub use tiered::TieredStore;
 
@@ -178,7 +176,10 @@ impl TierConfig {
 ///
 /// This is the one place `curp-core` (and everything above it) decides
 /// which [`StateStore`] engine backs a master or backup replica; no
-/// caller names `ShardedStore`/`TieredStore` directly.
+/// caller names `ShardedStore`/`TieredStore` directly. Replicas start
+/// either empty ([`build`](Self::build)) or from a decoded snapshot's
+/// exported state ([`build_import`](Self::build_import)), which moves the
+/// vectors straight into the shards.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
     /// Shard count for the (mem)table.
@@ -212,16 +213,6 @@ impl StoreConfig {
     /// contract, and construction is the config-error boundary.
     pub fn build<Ext: Default + Send + 'static>(&self) -> Box<dyn StateStore<Ext>> {
         self.wrap(ShardedStore::new(self.shards))
-    }
-
-    /// Builds a store from a recovered single-space [`Store`], preserving
-    /// log positions, the synced frontier, and unsynced-deletion
-    /// tombstones (mirrors [`ShardedStore::from_store`]).
-    pub fn build_from_store<Ext: Default + Send + 'static>(
-        &self,
-        store: Store,
-    ) -> Box<dyn StateStore<Ext>> {
-        self.wrap(ShardedStore::from_store(self.shards, store))
     }
 
     /// Builds a store from exported state; the result is entirely synced

@@ -24,13 +24,12 @@
 //! ## Determinism
 //!
 //! Fed the same operation sequence one at a time, a `ShardedStore` produces
-//! byte-identical results, versions, log positions, and exports as the
-//! single-space [`Store`] — both engines execute through the same
-//! (crate-private) `KeySpace` code, and the proptest suite pins the
-//! equivalence. Under
-//! concurrent execution, positions interleave nondeterministically *across*
-//! shards but stay ordered within each key, which is all the §4.3 unsynced
-//! check needs.
+//! byte-identical results, versions, log positions, and exports whatever
+//! its shard count — every shard executes through the same (crate-private)
+//! `KeySpace` code, and the proptest suite pins the equivalence against a
+//! naive reference model. Under concurrent execution, positions interleave
+//! nondeterministically *across* shards but stay ordered within each key,
+//! which is all the §4.3 unsynced check needs.
 //!
 //! The `Ext` type parameter lets an embedding layer (the CURP master) keep
 //! its own per-shard state — pending log tail, hot-key history — inside the
@@ -45,7 +44,7 @@ use curp_proto::op::{Op, OpResult};
 use curp_proto::types::KeyHash;
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::store::{KeySpace, Object, Store, StoreExport, Value};
+use crate::store::{KeySpace, Object, StoreExport, Value};
 
 /// Default shard count for the execution engine: enough to make commuting
 /// operations contention-free across a typical worker pool while keeping
@@ -57,7 +56,7 @@ struct Shard<Ext> {
     ext: Ext,
 }
 
-/// A key-hash-sharded [`Store`]: same semantics, per-shard locking.
+/// The in-memory object store: one key space per shard, per-shard locking.
 ///
 /// All methods take `&self`; concurrent callers serialize only when their
 /// operations touch the same shard. See the module docs for the locking
@@ -96,49 +95,28 @@ impl<Ext: Default> ShardedStore<Ext> {
         }
     }
 
-    /// Rebuilds a store from exported state, mirroring [`Store::import`]:
-    /// the result is entirely synced (`log_head == synced_pos == 1`, every
-    /// object at `write_pos == 0`).
+    /// Rebuilds a store from exported state. The imported state is entirely
+    /// *synced* (it came from a backup): `log_head == synced_pos == 1` and
+    /// every object carries `write_pos == 0`, so nothing reads as unsynced
+    /// until the first new mutation.
     pub fn import(
         num_shards: usize,
         objects: Vec<(Bytes, Object)>,
         dead_versions: Vec<(Bytes, u64)>,
     ) -> Self {
-        let store = Self::new(num_shards);
+        let mut store = Self::new(num_shards);
         for (k, mut o) in objects {
             o.write_pos = 0;
             let shard = KeyHash::of(&k).shard(num_shards);
-            store.shards[shard].lock().space.objects.insert(k, o);
+            store.shards[shard].get_mut().space.objects.insert(k, o);
         }
         for (k, v) in dead_versions {
             let shard = KeyHash::of(&k).shard(num_shards);
-            store.shards[shard].lock().space.dead_versions.insert(k, v);
+            store.shards[shard].get_mut().space.dead_versions.insert(k, v);
         }
-        store.log_head.store(1, Ordering::SeqCst);
-        store.synced_pos.store(1, Ordering::SeqCst);
+        *store.log_head.get_mut() = 1;
+        *store.synced_pos.get_mut() = 1;
         store
-    }
-
-    /// Re-shards a single-space [`Store`] (recovered snapshot, migration
-    /// input) into `num_shards` shards, preserving log positions, the
-    /// synced frontier, and unsynced-deletion tombstones.
-    pub fn from_store(num_shards: usize, store: Store) -> Self {
-        let sharded = Self::new(num_shards);
-        sharded.log_head.store(store.log_head, Ordering::SeqCst);
-        sharded.synced_pos.store(store.synced_pos, Ordering::SeqCst);
-        for (k, o) in store.space.objects {
-            let shard = KeyHash::of(&k).shard(num_shards);
-            sharded.shards[shard].lock().space.objects.insert(k, o);
-        }
-        for (k, v) in store.space.dead_versions {
-            let shard = KeyHash::of(&k).shard(num_shards);
-            sharded.shards[shard].lock().space.dead_versions.insert(k, v);
-        }
-        for (k, p) in store.space.tombstones {
-            let shard = KeyHash::of(&k).shard(num_shards);
-            sharded.shards[shard].lock().space.tombstones.insert(k, p);
-        }
-        sharded
     }
 }
 
@@ -150,7 +128,10 @@ impl<Ext> ShardedStore<Ext> {
 
     /// The shard index `key` routes to.
     pub fn shard_of(&self, key: &[u8]) -> usize {
-        KeyHash::of(key).shard(self.shards.len())
+        match self.shards.len() {
+            1 => 0, // the single-space store routes without hashing
+            n => KeyHash::of(key).shard(n),
+        }
     }
 
     /// Next log position to be assigned; equals the count of mutations
@@ -357,13 +338,21 @@ impl<'a, Ext> ShardGuards<'a, Ext> {
     }
 
     /// Executes `op` against the held shards, drawing log positions from
-    /// the store's global counter and hashing each key for routing. Callers
-    /// that already computed the op's footprint should prefer
+    /// the store's global counter and routing each key with
+    /// [`shard_of`](ShardedStore::shard_of). Callers that already computed
+    /// the op's footprint should prefer
     /// [`execute_routed`](Self::execute_routed), which reuses it. Only
     /// shards in the lock set may be touched; a routing mismatch panics (it
     /// would be a protocol bug).
     pub fn execute(&mut self, op: &Op) -> OpResult {
-        self.execute_routed(op, &op.key_hashes())
+        if let Op::MultiPut { .. } = op {
+            return self.execute_routed(op, &op.key_hashes());
+        }
+        let store = self.store;
+        // lint: audited-unwrap — guarded by the MultiPut arm above
+        let key = op.keys().next().expect("single-key op has a key");
+        let mut next_pos = || store.log_head.fetch_add(1, Ordering::SeqCst);
+        self.shard_mut(store.shard_of(key)).space.execute(op, &mut next_pos)
     }
 
     /// Like [`execute`](Self::execute), but routes through `footprint` —
@@ -376,8 +365,9 @@ impl<'a, Ext> ShardGuards<'a, Ext> {
         let mut next_pos = || store.log_head.fetch_add(1, Ordering::SeqCst);
         match op {
             // Multi-key: route each write to its own shard, consuming
-            // positions in pair order — the same order the single-space
-            // engine uses, so sequential runs stay byte-identical.
+            // positions in pair order — the order `KeySpace::execute` uses
+            // for a whole `MultiPut`, so sequential runs stay
+            // byte-identical at any shard count.
             Op::MultiPut { kvs } => {
                 let mut last_version = 0;
                 for ((key, value), &h) in kvs.iter().zip(footprint.iter()) {
@@ -599,7 +589,7 @@ mod tests {
     #[test]
     fn matches_single_space_store_sequentially() {
         let sharded: ShardedStore = ShardedStore::new(4);
-        let mut single = Store::new();
+        let single: ShardedStore = ShardedStore::new(1);
         let ops = [
             Op::Put { key: b("a"), value: b("1") },
             Op::Incr { key: b("c"), delta: 3 },
@@ -616,6 +606,18 @@ mod tests {
         }
         assert_eq!(sharded.export(), single.export());
         assert_eq!(sharded.len(), single.len());
+    }
+
+    #[test]
+    fn empty_multi_put_writes_nothing_at_any_shard_count() {
+        for shards in [1, 4] {
+            let store: ShardedStore = ShardedStore::new(shards);
+            let op = Op::MultiPut { kvs: vec![] };
+            assert_eq!(store.execute(&op), OpResult::Written { version: 0 }, "{shards} shards");
+            assert!(!store.touches_unsynced(&op));
+            assert_eq!(store.log_head(), 0);
+            assert!(store.is_empty());
+        }
     }
 
     #[test]
@@ -689,39 +691,24 @@ mod tests {
 
     #[test]
     fn import_mirrors_store_import() {
-        let mut single = Store::new();
+        let single: ShardedStore = ShardedStore::new(1);
         single.execute(&Op::Put { key: b("a"), value: b("1") });
         single.execute(&Op::Incr { key: b("c"), delta: 7 });
         single.execute(&Op::Delete { key: b("dead") });
         let (objects, dead) = single.export();
-        let from_single = Store::import(objects.clone(), dead.clone());
+        let from_single: ShardedStore = ShardedStore::import(1, objects.clone(), dead.clone());
         let sharded: ShardedStore = ShardedStore::import(4, objects, dead);
         assert!(!sharded.has_unsynced(), "imported state must be fully synced");
+        assert_eq!(sharded.log_head(), 1);
         assert_eq!(sharded.log_head(), from_single.log_head());
         assert_eq!(sharded.synced_pos(), from_single.synced_pos());
         assert_eq!(sharded.export(), from_single.export());
     }
 
     #[test]
-    fn from_store_preserves_unsynced_state() {
-        let mut single = Store::new();
-        single.execute(&Op::Put { key: b("a"), value: b("1") });
-        single.mark_synced(1);
-        single.execute(&Op::Put { key: b("b"), value: b("2") });
-        single.execute(&Op::Delete { key: b("a") });
-        let sharded: ShardedStore = ShardedStore::from_store(4, single.clone());
-        assert_eq!(sharded.log_head(), single.log_head());
-        assert_eq!(sharded.synced_pos(), single.synced_pos());
-        for k in [&b"a"[..], b"b", b"never"] {
-            assert_eq!(sharded.is_unsynced(k), single.is_unsynced(k), "key {k:?}");
-        }
-        assert_eq!(sharded.export(), single.export());
-    }
-
-    #[test]
     fn split_off_partitions_like_store() {
         let sharded: ShardedStore = ShardedStore::new(4);
-        let mut single = Store::new();
+        let single: ShardedStore = ShardedStore::new(1);
         for i in 0..32 {
             let op = Op::Put { key: b(&format!("k{i}")), value: b("v") };
             sharded.execute(&op);

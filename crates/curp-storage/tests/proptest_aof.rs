@@ -12,8 +12,7 @@ use curp_proto::frame::FrameDecoder;
 use curp_proto::message::LogEntry;
 use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{ClientId, RpcId};
-use curp_proto::wire::Encode;
-use curp_storage::{Aof, FsyncPolicy};
+use curp_storage::{Aof, FsyncPolicy, TempDir};
 use proptest::prelude::*;
 
 fn arb_entries() -> impl Strategy<Value = Vec<LogEntry>> {
@@ -48,8 +47,9 @@ fn complete_frames(raw: &[u8], cut: usize) -> (usize, usize) {
     (frames, decoder.buffered())
 }
 
-fn tmpfile(tag: u64) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("curp-proptest-aof-{}-{tag}", std::process::id()))
+/// A fresh scratch directory per case: parallel cases never share a path.
+fn scratch() -> TempDir {
+    TempDir::new("curp-proptest-aof").unwrap()
 }
 
 proptest! {
@@ -60,7 +60,8 @@ proptest! {
     /// cut fell mid-record, and never errors (a tear is not corruption).
     #[test]
     fn every_truncation_offset_loads_a_clean_prefix(entries in arb_entries()) {
-        let path = tmpfile(entries.iter().map(Encode::encoded_len).sum::<usize>() as u64);
+        let dir = scratch();
+        let path = dir.path().join("log.aof");
         {
             let mut aof = Aof::open(&path, FsyncPolicy::Manual).unwrap();
             aof.append_batch(&entries).unwrap();
@@ -83,7 +84,6 @@ proptest! {
             // there is what keeps the file appendable after recovery.
             prop_assert_eq!(outcome.clean_len, (cut - leftover) as u64);
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     /// Crash-mid-rewrite at **every** byte offset of the tmp file: the
@@ -98,8 +98,8 @@ proptest! {
         old in arb_entries(),
         new in arb_entries(),
     ) {
-        let tag = (old.len() * 31 + new.len()) as u64;
-        let path = tmpfile(tag);
+        let dir = scratch();
+        let path = dir.path().join("log.aof");
         let tmp = path.with_extension("rewrite");
         {
             let mut aof = Aof::open(&path, FsyncPolicy::Manual).unwrap();
@@ -109,12 +109,10 @@ proptest! {
         let old_raw = std::fs::read(&path).unwrap();
         // The exact bytes `Aof::rewrite` streams into the tmp file: a
         // completed rewrite at a scratch path yields them verbatim.
-        let scratch = tmpfile(tag ^ 0x5CA7C4);
+        let reference = dir.path().join("reference.aof");
         let new_raw = {
-            drop(Aof::rewrite(&scratch, &new, FsyncPolicy::Never).unwrap());
-            let raw = std::fs::read(&scratch).unwrap();
-            std::fs::remove_file(&scratch).unwrap();
-            raw
+            drop(Aof::rewrite(&reference, &new, FsyncPolicy::Never).unwrap());
+            std::fs::read(&reference).unwrap()
         };
 
         // Phase 1 — power fails while the tmp file is being written (or
@@ -142,6 +140,5 @@ proptest! {
         prop_assert_eq!(&outcome.entries[..], &new[..]);
         prop_assert!(!outcome.truncated);
         prop_assert!(!tmp.exists(), "a completed rewrite must consume its tmp file");
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,14 +1,15 @@
 //! Property tests for the store's replication-bearing invariants:
 //! determinism, synced-frontier bookkeeping, snapshot fidelity, and
 //! equivalence of the in-place execute path with a naive reference
-//! implementation.
+//! implementation. Engine properties run at 1 shard (the single-space
+//! store) and at 4.
 
 use std::collections::{HashMap, HashSet};
 
 use bytes::Bytes;
 use curp_proto::op::{Op, OpResult};
 use curp_proto::wire::encode_seq;
-use curp_storage::{ShardedStore, StateStore, Store, TempDir, TierConfig, TieredStore};
+use curp_storage::{Object, ShardedStore, StateStore, TempDir, TierConfig, TieredStore, Value};
 use proptest::prelude::*;
 
 fn key(i: u8) -> Bytes {
@@ -22,16 +23,20 @@ enum Step {
 }
 
 /// A deliberately naive store with the same observable semantics as
-/// [`Store`]: every mutation clones the current value, modifies the clone,
-/// and replaces the whole object. This is the behavior `Store::execute` had
-/// before the in-place rewrite; keeping it as the executable specification
-/// pins the determinism contract backups and recovery replay rely on
-/// (results, versions, and log positions must match op-for-op).
+/// [`ShardedStore`]: one unsharded map, and every mutation clones the
+/// current value, modifies the clone, and replaces the whole object. This
+/// is the behavior execution had before the in-place rewrite; keeping it as
+/// the executable specification pins the determinism contract backups and
+/// recovery replay rely on (results, versions, log positions, and the
+/// unsynced frontier must match op-for-op).
 #[derive(Default)]
 struct NaiveStore {
     objects: HashMap<Bytes, (NaiveValue, u64, u64)>, // value, version, write_pos
     dead_versions: HashMap<Bytes, u64>,
+    /// Log position of each key's last deletion.
+    deleted_at: HashMap<Bytes, u64>,
     log_head: u64,
+    synced_pos: u64,
 }
 
 #[derive(Clone, PartialEq)]
@@ -55,6 +60,7 @@ impl NaiveStore {
     fn write(&mut self, key: &Bytes, value: NaiveValue) -> u64 {
         let version = self.current_version(key) + 1;
         self.dead_versions.remove(key);
+        self.deleted_at.remove(key);
         let pos = self.log_head;
         self.log_head += 1;
         self.objects.insert(key.clone(), (value, version, pos));
@@ -74,6 +80,7 @@ impl NaiveStore {
                 OpResult::Written { version }
             }
             Op::Delete { key } => {
+                self.deleted_at.insert(key.clone(), self.log_head);
                 self.log_head += 1;
                 if let Some((_, version, _)) = self.objects.remove(key) {
                     self.dead_versions.insert(key.clone(), version);
@@ -150,9 +157,41 @@ impl NaiveStore {
         }
     }
 
+    /// Whether `key`'s last mutation (write or delete) is at or past the
+    /// synced frontier; never-written keys are synced.
+    fn is_unsynced(&self, key: &Bytes) -> bool {
+        let last = match self.objects.get(key) {
+            Some((_, _, pos)) => Some(*pos),
+            None => self.deleted_at.get(key).copied(),
+        };
+        last.is_some_and(|pos| pos >= self.synced_pos)
+    }
+
+    /// The reference export: live objects and dead versions, sorted by key.
+    fn export(&self) -> curp_storage::StoreExport {
+        let mut objects: Vec<(Bytes, Object)> = self
+            .objects
+            .iter()
+            .map(|(k, (value, version, write_pos))| {
+                let value = match value.clone() {
+                    NaiveValue::Str(b) => Value::Str(b),
+                    NaiveValue::Hash(h) => Value::Hash(h),
+                    NaiveValue::Counter(c) => Value::Counter(c),
+                    NaiveValue::List(l) => Value::List(l),
+                    NaiveValue::Set(s) => Value::Set(s),
+                };
+                (k.clone(), Object { value, version: *version, write_pos: *write_pos })
+            })
+            .collect();
+        let mut dead: Vec<(Bytes, u64)> =
+            self.dead_versions.iter().map(|(k, &v)| (k.clone(), v)).collect();
+        objects.sort_by(|a, b| a.0.cmp(&b.0));
+        dead.sort_by(|a, b| a.0.cmp(&b.0));
+        (objects, dead)
+    }
+
     /// The real store's value for `key` must equal ours structurally.
-    fn value_matches(&self, key: &Bytes, store: &Store) -> bool {
-        use curp_storage::Value;
+    fn value_matches(&self, key: &Bytes, store: &ShardedStore) -> bool {
         match (self.objects.get(key), store.get_object(key)) {
             (None, None) => true,
             (Some((value, version, pos)), Some(obj)) => {
@@ -171,6 +210,12 @@ impl NaiveStore {
             _ => false,
         }
     }
+}
+
+/// Shard counts the engine properties run at: the single-space store and a
+/// sharded one.
+fn arb_shards() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), Just(4usize)]
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
@@ -219,7 +264,7 @@ fn arb_any_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// A step for the sharded-vs-single equivalence property: the full op
+/// A step for the sharded-vs-reference equivalence property: the full op
 /// surface plus sync-frontier advances.
 fn arb_any_step() -> impl Strategy<Value = Step> {
     prop_oneof![
@@ -255,54 +300,58 @@ fn export_bytes(export: &curp_storage::StoreExport) -> Bytes {
 }
 
 proptest! {
-    /// The 4-way sharded engine is observationally identical to the
-    /// single-space store when fed the same sequential op/sync stream:
-    /// same results (and therefore versions), same log positions, same
-    /// unsynced frontier at every step, and byte-identical snapshot
-    /// exports at the end — the equivalence the master's sharding refactor
-    /// rests on.
+    /// The 4-way sharded engine is observationally identical to the naive
+    /// reference when fed the same sequential op/sync stream: same results
+    /// (and therefore versions), same log positions, same unsynced frontier
+    /// at every step, and byte-identical snapshot exports at the end — the
+    /// equivalence the master's sharding rests on. Import round-trips land
+    /// fully synced with the same state.
     #[test]
     fn sharded_store_matches_single_shard_reference(
         steps in prop::collection::vec(arb_any_step(), 1..150)
     ) {
         let sharded: ShardedStore = ShardedStore::new(4);
-        let mut single = Store::new();
+        let mut reference = NaiveStore::default();
         for step in &steps {
             match step {
                 Step::Sync => {
-                    single.mark_synced(single.log_head());
+                    reference.synced_pos = reference.log_head;
                     sharded.mark_synced(sharded.log_head());
                 }
                 Step::Op(op) => {
                     prop_assert_eq!(
                         sharded.execute(op),
-                        single.execute(op),
+                        reference.execute(op),
                         "result diverged on {:?}",
                         op
                     );
-                    prop_assert_eq!(sharded.log_head(), single.log_head());
+                    prop_assert_eq!(sharded.log_head(), reference.log_head);
                 }
             }
-            prop_assert_eq!(sharded.synced_pos(), single.synced_pos());
+            prop_assert_eq!(sharded.synced_pos(), reference.synced_pos);
             for i in 0..16u8 {
                 let k = key(i);
                 prop_assert_eq!(
                     sharded.is_unsynced(&k),
-                    single.is_unsynced(&k),
+                    reference.is_unsynced(&k),
                     "unsynced frontier diverged at {:?}",
                     k
                 );
             }
         }
-        prop_assert_eq!(sharded.len(), single.len());
-        let (se, ss) = (sharded.export(), single.export());
-        prop_assert_eq!(&se, &ss, "exports diverged");
-        prop_assert_eq!(export_bytes(&se), export_bytes(&ss), "snapshot bytes diverged");
-        // Import round-trips agree too (both land fully synced).
+        prop_assert_eq!(sharded.len(), reference.objects.len());
+        let (se, re) = (sharded.export(), reference.export());
+        prop_assert_eq!(&se, &re, "exports diverged");
+        prop_assert_eq!(export_bytes(&se), export_bytes(&re), "snapshot bytes diverged");
+        // Import lands fully synced, every object at write_pos 0.
         let resharded: ShardedStore = ShardedStore::import(4, se.0.clone(), se.1.clone());
-        let resingle = Store::import(ss.0, ss.1);
-        prop_assert_eq!(resharded.export(), resingle.export());
-        prop_assert_eq!(resharded.has_unsynced(), resingle.has_unsynced());
+        prop_assert!(!resharded.has_unsynced());
+        prop_assert_eq!(resharded.log_head(), 1);
+        let (mut want_obj, want_dead) = se;
+        for (_, o) in want_obj.iter_mut() {
+            o.write_pos = 0;
+        }
+        prop_assert_eq!(resharded.export(), (want_obj, want_dead));
     }
 
     /// The larger-than-memory engine is observationally identical to the
@@ -354,13 +403,16 @@ proptest! {
         prop_assert_eq!(t_dead, r_dead, "dead-version exports diverged");
     }
 
-    /// The in-place `Store::execute` matches the naive clone-per-mutation
-    /// reference implementation op-for-op: same results (and therefore
-    /// versions), same log positions, same per-key state. This is the
-    /// determinism contract backups and recovery replay depend on.
+    /// In-place execution matches the naive clone-per-mutation reference
+    /// implementation op-for-op: same results (and therefore versions),
+    /// same log positions, same per-key state. This is the determinism
+    /// contract backups and recovery replay depend on.
     #[test]
-    fn execute_matches_naive_reference(ops in prop::collection::vec(arb_any_op(), 1..150)) {
-        let mut store = Store::new();
+    fn execute_matches_naive_reference(
+        shards in arb_shards(),
+        ops in prop::collection::vec(arb_any_op(), 1..150),
+    ) {
+        let store: ShardedStore = ShardedStore::new(shards);
         let mut reference = NaiveStore::default();
         for op in &ops {
             let got = store.execute(op);
@@ -383,9 +435,12 @@ proptest! {
     /// Two stores fed the same operations agree on every result — the
     /// property backups and recovery replay depend on.
     #[test]
-    fn execution_is_deterministic(ops in prop::collection::vec(arb_op(), 1..120)) {
-        let mut a = Store::new();
-        let mut b = Store::new();
+    fn execution_is_deterministic(
+        shards in arb_shards(),
+        ops in prop::collection::vec(arb_op(), 1..120),
+    ) {
+        let a: ShardedStore = ShardedStore::new(shards);
+        let b: ShardedStore = ShardedStore::new(shards);
         for op in &ops {
             prop_assert_eq!(a.execute(op), b.execute(op));
         }
@@ -400,8 +455,11 @@ proptest! {
     /// nothing is unsynced; any later mutation makes exactly its keys
     /// unsynced; reads never change the frontier.
     #[test]
-    fn unsynced_tracking_is_exact(steps in prop::collection::vec(arb_step(), 1..150)) {
-        let mut store = Store::new();
+    fn unsynced_tracking_is_exact(
+        shards in arb_shards(),
+        steps in prop::collection::vec(arb_step(), 1..150),
+    ) {
+        let store: ShardedStore = ShardedStore::new(shards);
         // Model: keys written since the last sync.
         let mut dirty: std::collections::HashSet<Bytes> = Default::default();
         for step in &steps {
@@ -437,15 +495,16 @@ proptest! {
 
     /// Snapshot round-trips preserve every observable value.
     #[test]
-    fn export_import_preserves_reads(ops in prop::collection::vec(arb_op(), 1..100)) {
-        let mut store = Store::new();
+    fn export_import_preserves_reads(
+        shards in arb_shards(),
+        ops in prop::collection::vec(arb_op(), 1..100),
+    ) {
+        let a: ShardedStore = ShardedStore::new(shards);
         for op in &ops {
-            store.execute(op);
+            a.execute(op);
         }
-        let (objects, dead) = store.export();
-        let restored = Store::import(objects, dead);
-        let mut a = store.clone();
-        let mut b = restored;
+        let (objects, dead) = a.export();
+        let b: ShardedStore = ShardedStore::import(shards, objects, dead);
         for i in 0..16u8 {
             prop_assert_eq!(
                 a.execute(&Op::Get { key: key(i) }),
@@ -465,8 +524,11 @@ proptest! {
 
     /// Log positions are consumed iff state changed; failed ops are free.
     #[test]
-    fn log_positions_track_mutations(ops in prop::collection::vec(arb_op(), 1..120)) {
-        let mut store = Store::new();
+    fn log_positions_track_mutations(
+        shards in arb_shards(),
+        ops in prop::collection::vec(arb_op(), 1..120),
+    ) {
+        let store: ShardedStore = ShardedStore::new(shards);
         for op in &ops {
             let before = store.log_head();
             let result = store.execute(op);

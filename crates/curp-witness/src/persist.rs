@@ -228,16 +228,17 @@ mod tests {
         }
     }
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("curp-witness-journal-{}-{}", std::process::id(), name));
-        let _ = std::fs::remove_file(&p);
-        p
+    /// A journal path inside a fresh scratch directory, removed when the
+    /// returned guard drops.
+    fn tmp(name: &str) -> (curp_storage::TempDir, std::path::PathBuf) {
+        let dir = curp_storage::TempDir::new("curp-witness-journal").unwrap();
+        let path = dir.path().join(name);
+        (dir, path)
     }
 
     #[test]
     fn records_survive_restart() {
-        let path = tmp("restart");
+        let (_dir, path) = tmp("restart");
         {
             let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
             w.handle_request(&Request::WitnessStart { master_id: M });
@@ -252,12 +253,11 @@ mod tests {
         // Commutativity state survives too: a conflicting record is rejected.
         let rsp = w.handle_request(&Request::WitnessRecord { request: req("k3", 9) });
         assert_eq!(rsp, Response::RecordRejected);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn gc_survives_restart() {
-        let path = tmp("gc");
+        let (_dir, path) = tmp("gc");
         {
             let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
             w.handle_request(&Request::WitnessStart { master_id: M });
@@ -268,12 +268,11 @@ mod tests {
         }
         let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
         assert_eq!(w.service().occupancy(M), 0, "gc'd record resurrected");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn freeze_is_irreversible_across_restart() {
-        let path = tmp("freeze");
+        let (_dir, path) = tmp("freeze");
         {
             let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
             w.handle_request(&Request::WitnessStart { master_id: M });
@@ -289,12 +288,11 @@ mod tests {
             Response::RecoveryData { requests } => assert_eq!(requests.len(), 1),
             other => panic!("unexpected {other:?}"),
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn torn_tail_is_discarded() {
-        let path = tmp("torn");
+        let (_dir, path) = tmp("torn");
         {
             let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
             w.handle_request(&Request::WitnessStart { master_id: M });
@@ -308,12 +306,11 @@ mod tests {
         drop(f);
         let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
         assert_eq!(w.service().occupancy(M), 2, "torn third record must be dropped");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn end_survives_restart() {
-        let path = tmp("end");
+        let (_dir, path) = tmp("end");
         {
             let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
             w.handle_request(&Request::WitnessStart { master_id: M });
@@ -327,6 +324,5 @@ mod tests {
             w.handle_request(&Request::WitnessStart { master_id: M }),
             Response::WitnessStarted { ok: true }
         );
-        std::fs::remove_file(&path).unwrap();
     }
 }

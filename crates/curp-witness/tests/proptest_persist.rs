@@ -16,6 +16,7 @@ use curp_proto::frame::FrameDecoder;
 use curp_proto::message::{RecordedRequest, Request, Response};
 use curp_proto::op::Op;
 use curp_proto::types::{ClientId, MasterId, RpcId};
+use curp_storage::TempDir;
 use curp_witness::cache::CacheConfig;
 use curp_witness::JournaledWitness;
 use proptest::prelude::*;
@@ -32,8 +33,12 @@ fn req(key: Vec<u8>, seq: u64) -> RecordedRequest {
     }
 }
 
-fn tmpfile(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("curp-proptest-journal-{}-{tag}", std::process::id()))
+/// A journal path inside a fresh scratch directory (removed when the
+/// returned guard drops): parallel tests and cases never share a file.
+fn tmpfile(tag: &str) -> (TempDir, std::path::PathBuf) {
+    let dir = TempDir::new("curp-proptest-journal").unwrap();
+    let path = dir.path().join(tag);
+    (dir, path)
 }
 
 /// Number of complete frames within the first `cut` bytes of `raw`.
@@ -58,8 +63,7 @@ proptest! {
     fn every_truncation_offset_replays_a_clean_prefix(
         keys in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..24), 1..5)
     ) {
-        let path = tmpfile("truncate");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmpfile("truncate");
         // Distinct keys so records commute and every one is accepted.
         let mut distinct = keys;
         for (i, k) in distinct.iter_mut().enumerate() {
@@ -94,14 +98,12 @@ proptest! {
                 prop_assert_eq!(rsp, Response::RecordRejected);
             }
         }
-        std::fs::remove_file(&path).unwrap();
     }
 }
 
 #[test]
 fn frozen_instance_stays_frozen_across_two_restarts() {
-    let path = tmpfile("twice-frozen");
-    let _ = std::fs::remove_file(&path);
+    let (_dir, path) = tmpfile("twice-frozen");
     {
         let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
         w.handle_request(&Request::WitnessStart { master_id: M });
@@ -126,13 +128,11 @@ fn frozen_instance_stays_frozen_across_two_restarts() {
             other => panic!("unexpected {other:?}"),
         }
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn records_journaled_after_a_torn_restart_survive_the_next_restart() {
-    let path = tmpfile("torn-then-append");
-    let _ = std::fs::remove_file(&path);
+    let (_dir, path) = tmpfile("torn-then-append");
     {
         let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
         w.handle_request(&Request::WitnessStart { master_id: M });
@@ -164,13 +164,11 @@ fn records_journaled_after_a_torn_restart_survive_the_next_restart() {
             Response::RecordRejected
         );
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn mid_journal_corruption_fails_the_open() {
-    let path = tmpfile("midlog");
-    let _ = std::fs::remove_file(&path);
+    let (_dir, path) = tmpfile("midlog");
     {
         let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
         w.handle_request(&Request::WitnessStart { master_id: M });
@@ -195,5 +193,4 @@ fn mid_journal_corruption_fails_the_open() {
         Ok(_) => panic!("mid-journal corruption must fail the open"),
     };
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-    std::fs::remove_file(&path).unwrap();
 }
