@@ -26,7 +26,7 @@ use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{ClientId, KeyHash, MasterId, RpcId, WitnessListVersion};
 use curp_proto::wire::{Decode, Encode};
 use curp_sim::{run_sim, to_virtual_ns, Mode, RamcloudParams, SimCluster};
-use curp_storage::{Aof, FsyncPolicy, ShardedStore, StateStore, TempDir, TierConfig, TieredStore};
+use curp_storage::{Aof, ShardedStore, StateStore, TempDir, TierConfig, TieredStore};
 use curp_witness::{CacheConfig, WitnessCache, WitnessService};
 
 fn request(seq: u64, key: u64) -> RecordedRequest {
@@ -352,11 +352,11 @@ fn bench_contention(c: &mut Criterion) {
 // rounds per sample and extrapolates, so the file stays small (~8 KiB per
 // round) at any requested iteration count.
 
-fn aof_round_time(iters: u64, policy: FsyncPolicy) -> Duration {
+fn aof_round_time(iters: u64, fsync: bool) -> Duration {
     const CAP: u64 = 64;
     let rounds = iters.clamp(1, CAP);
     let dir = TempDir::new("curp-bench-aof").expect("bench aof dir");
-    let path = dir.path().join(format!("{policy:?}.aof"));
+    let path = dir.path().join("round.aof");
     let batch: Vec<LogEntry> = (0..50u64)
         .map(|i| LogEntry {
             seq: i,
@@ -368,11 +368,13 @@ fn aof_round_time(iters: u64, policy: FsyncPolicy) -> Duration {
             result: OpResult::Written { version: i + 1 },
         })
         .collect();
-    let mut aof = Aof::open(&path, policy).expect("open bench aof");
+    let (mut aof, _) = Aof::open(&path).expect("open bench aof");
     let t0 = Instant::now();
     for _ in 0..rounds {
         aof.append_batch(&batch).expect("append");
-        aof.sync().expect("fsync");
+        if fsync {
+            aof.sync().expect("fsync");
+        }
     }
     let elapsed = t0.elapsed();
     drop(aof);
@@ -387,10 +389,10 @@ fn aof_round_time(iters: u64, policy: FsyncPolicy) -> Duration {
 
 fn bench_aof(c: &mut Criterion) {
     c.bench_function("aof_append_batch_fsync", |b| {
-        b.iter_custom(|iters| aof_round_time(iters, FsyncPolicy::Manual))
+        b.iter_custom(|iters| aof_round_time(iters, true))
     });
     c.bench_function("aof_append_batch_nofsync", |b| {
-        b.iter_custom(|iters| aof_round_time(iters, FsyncPolicy::Never))
+        b.iter_custom(|iters| aof_round_time(iters, false))
     });
 }
 
@@ -483,7 +485,7 @@ fn run_merge_time(iters: u64) -> Duration {
     }
 }
 
-/// One crash-safe `Aof::rewrite` compacting a 2000-entry log to its
+/// One crash-safe `FramedLog::rewrite` compacting a 2000-entry log to its
 /// 100-entry live suffix (tmp + fsync + rename + dir fsync) — the price
 /// of bounding a backup's log once checkpoint coverage has advanced.
 fn aof_rewrite_time(iters: u64) -> Duration {
@@ -505,12 +507,12 @@ fn aof_rewrite_time(iters: u64) -> Duration {
     let mut total = Duration::ZERO;
     for _ in 0..rounds {
         let _ = std::fs::remove_file(&path);
-        let mut aof = Aof::open(&path, FsyncPolicy::Manual).expect("open bench aof");
+        let (mut aof, _) = Aof::open(&path).expect("open bench aof");
         aof.append_batch(&full).expect("append");
         aof.sync().expect("fsync");
         drop(aof);
         let t0 = Instant::now();
-        drop(Aof::rewrite(&path, &suffix, FsyncPolicy::Manual).expect("rewrite"));
+        drop(Aof::rewrite(&path, &suffix).expect("rewrite"));
         total += t0.elapsed();
     }
     if rounds == iters {

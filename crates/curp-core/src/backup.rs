@@ -32,7 +32,8 @@
 //! tick: it checkpoints **one** shard of its store (round-robin) to a
 //! sidecar file `master-N.ckptS`, then — once every shard's checkpoint
 //! has advanced past the log's oldest entry — rewrites the AOF keeping
-//! only the uncovered suffix ([`Aof::rewrite`], crash-safe tmp + rename).
+//! only the uncovered suffix ([`FramedLog::rewrite`](curp_storage::FramedLog::rewrite),
+//! crash-safe tmp + rename).
 //! A checkpoint's coverage only advances after its file is durable, and
 //! the rewrite never drops an entry some shard still needs (DESIGN.md
 //! invariant 12), so at every instant
@@ -58,7 +59,8 @@ use curp_proto::message::{LogEntry, Request, Response};
 use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{Epoch, KeyHash, MasterId};
 use curp_rifl::RiflTable;
-use curp_storage::{Aof, FsyncPolicy, StateStore, StoreConfig};
+use curp_storage::frames::{atomic_replace, atomic_replace_then, sweep_tmps};
+use curp_storage::{fsync_dir, Aof, StateStore, StoreConfig};
 use parking_lot::Mutex;
 
 use crate::snapshot::Snapshot;
@@ -84,21 +86,13 @@ fn ckpt_path(dir: &Path, master: MasterId, shard: usize) -> PathBuf {
 }
 
 /// Persists the fencing epoch for `master` as a sidecar file (8-byte LE
-/// epoch, tmp + fsync + rename + dir fsync). The fence must survive this
+/// epoch, installed by [`atomic_replace`]). The fence must survive this
 /// backup's own crash: the coordinator fences *before* recovery reads any
 /// backup (§4.7), and a zombie master can outlive a backup reboot — a fence
 /// that only lives in memory would re-admit its stale syncs after a cold
 /// restart.
 fn persist_fence(dir: &Path, master: MasterId, epoch: Epoch) -> std::io::Result<()> {
-    use std::io::Write;
-    let tmp = dir.join(format!("master-{}.fence.tmp", master.0));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&epoch.0.to_le_bytes())?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, fence_path(dir, master))?;
-    curp_storage::fsync_dir(dir)
+    atomic_replace(&fence_path(dir, master), &[&epoch.0.to_le_bytes()])
 }
 
 /// Reads the persisted fence, if any ([`Epoch(0)`](Epoch) when absent).
@@ -380,9 +374,7 @@ impl BackupService {
         match replicas.entry(master) {
             Entry::Occupied(e) => Ok(e.into_mut()),
             Entry::Vacant(v) => {
-                let aof = dir
-                    .map(|d| Aof::open(&aof_path(d, master), FsyncPolicy::Manual))
-                    .transpose()?;
+                let aof = dir.map(|d| Aof::open(&aof_path(d, master))).transpose()?.map(|(a, _)| a);
                 Ok(v.insert(Replica::new(cfg, epoch, aof)))
             }
         }
@@ -499,14 +491,13 @@ impl BackupService {
     /// Writes shard `shard`'s state (plus the full RIFL table) to its
     /// checkpoint file: header `[base epoch][base next_seq][shard count]
     /// [shard idx]` + snapshot blob whose `next_seq` is the coverage.
-    /// tmp + fsync + rename + dir fsync, like every other install here.
+    /// Installed by [`atomic_replace`], like every other file here.
     fn checkpoint_shard(
         dir: &Path,
         replica: &Replica,
         master: MasterId,
         shard: usize,
     ) -> std::io::Result<()> {
-        use std::io::Write;
         let (objects, dead_versions) = replica.store.export_shard(shard);
         let snap = Snapshot {
             objects,
@@ -514,19 +505,16 @@ impl BackupService {
             rifl: replica.rifl.export(),
             next_seq: replica.next_seq,
         };
-        let path = ckpt_path(dir, master, shard);
-        let tmp = dir.join(format!("master-{}.ckpt{}.tmp", master.0, shard));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&replica.base.0 .0.to_le_bytes())?;
-            f.write_all(&replica.base.1.to_le_bytes())?;
-            f.write_all(&(replica.coverage.len() as u32).to_le_bytes())?;
-            f.write_all(&(shard as u32).to_le_bytes())?;
-            f.write_all(&snap.to_blob())?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        curp_storage::fsync_dir(dir)
+        atomic_replace(
+            &ckpt_path(dir, master, shard),
+            &[
+                &replica.base.0 .0.to_le_bytes(),
+                &replica.base.1.to_le_bytes(),
+                &(replica.coverage.len() as u32).to_le_bytes(),
+                &(shard as u32).to_le_bytes(),
+                &snap.to_blob(),
+            ],
+        )
     }
 
     fn parse_ckpt(raw: &[u8]) -> std::io::Result<CkptFile> {
@@ -553,10 +541,9 @@ impl BackupService {
         min_cov: u64,
     ) -> std::io::Result<()> {
         let path = aof_path(dir, master);
-        let outcome = Aof::load(&path)?;
-        let kept: Vec<LogEntry> =
-            outcome.entries.into_iter().filter(|e| e.seq >= min_cov).collect();
-        replica.aof = Some(Aof::rewrite(&path, &kept, FsyncPolicy::Manual)?);
+        let mut kept = Aof::load(&path)?.records;
+        kept.retain(|e| e.seq >= min_cov);
+        replica.aof = Some(Aof::rewrite(&path, &kept)?);
         replica.rewritten = min_cov;
         Ok(())
     }
@@ -663,10 +650,7 @@ impl BackupService {
             }
         }
         let aof = match &self.dir {
-            Some(dir) => {
-                Self::persist_install(dir, master, epoch, next_seq, snap)?;
-                Some(Aof::open(&aof_path(dir, master), FsyncPolicy::Manual)?)
-            }
+            Some(dir) => Some(Self::persist_install(dir, master, epoch, next_seq, snap)?),
             None => None,
         };
         let store = self.store_cfg.build_import(snap.objects.clone(), snap.dead_versions.clone());
@@ -679,41 +663,29 @@ impl BackupService {
     }
 
     /// Persists an installed snapshot: header (epoch, next_seq) + blob,
-    /// written to a temp file, fsynced, renamed over the `.snap` path —
-    /// then any shard checkpoints (stale: they overlaid the previous
-    /// base) are deleted and the AOF is truncated (subsequent syncs
-    /// continue from `next_seq`). Crash between the rename and the
-    /// cleanup leaves stale AOF entries below `next_seq`, which
-    /// [`BackupService::restore_from_aof`] skips, and stale checkpoints,
-    /// which it ignores by their base mismatch.
+    /// atomically replacing the `.snap` file — then any shard checkpoints
+    /// (stale: they overlaid the previous base) are deleted and the AOF is
+    /// emptied (subsequent syncs continue from `next_seq`), before the one
+    /// directory fsync that makes the rename and the AOF's entry durable.
+    /// Returns the emptied AOF, open for appending. Crash between the
+    /// rename and the cleanup leaves stale AOF entries below `next_seq`,
+    /// which [`BackupService::restore_from_aof`] skips, and stale
+    /// checkpoints, which it ignores by their base mismatch.
     fn persist_install(
         dir: &Path,
         master: MasterId,
         epoch: Epoch,
         next_seq: u64,
         snap: &Snapshot,
-    ) -> std::io::Result<()> {
-        let tmp = dir.join(format!("master-{}.snap.tmp", master.0));
-        {
-            use std::io::Write;
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&epoch.0.to_le_bytes())?;
-            f.write_all(&next_seq.to_le_bytes())?;
-            f.write_all(&snap.to_blob())?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, snap_path(dir, master))?;
-        Self::remove_ckpts(dir, master)?;
-        let aof = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(aof_path(dir, master))?;
-        aof.sync_data()?;
-        // The rename and any file creation live in the directory: flush it,
-        // or a power loss can forget the whole install (fsynced contents
-        // with no directory entry are unreachable).
-        curp_storage::fsync_dir(dir)
+    ) -> std::io::Result<Aof> {
+        atomic_replace_then(
+            &snap_path(dir, master),
+            &[&epoch.0.to_le_bytes(), &next_seq.to_le_bytes(), &snap.to_blob()],
+            || {
+                Self::remove_ckpts(dir, master)?;
+                Aof::reset(&aof_path(dir, master))
+            },
+        )
     }
 
     /// Deletes every `master-N.ckpt*` file — whatever shard layout wrote
@@ -806,17 +778,12 @@ impl BackupService {
         let min_cov = *coverage.iter().min().expect("at least one shard");
         // lint: audited-unwrap — same non-empty shard vector as above
         let max_cov = *coverage.iter().max().expect("at least one shard");
-        // A crash mid-rewrite may strand the tmp file the rename never
-        // consumed; the rename is the commit point, so the tmp is dead
-        // bytes — drop it rather than let it linger forever.
-        match std::fs::remove_file(aof_path(&dir, master).with_extension("rewrite")) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        let outcome = Aof::load(&aof_path(&dir, master))?;
+        // Opening cuts any torn tail off the file before appending again:
+        // new entries written after the leftover bytes would hide behind
+        // the tear's stale length prefix and poison the next restart's load.
+        let (aof, outcome) = Aof::open(&aof_path(&dir, master))?;
         let mut next_seq = min_cov;
-        for e in &outcome.entries {
+        for e in &outcome.records {
             if e.seq < next_seq {
                 continue; // covered by a checkpoint, or pre-install remnant
             }
@@ -853,11 +820,6 @@ impl BackupService {
             next_seq += 1;
         }
         let next_seq = next_seq.max(max_cov);
-        // Cut any torn tail off the file before appending again: new
-        // entries written after the leftover bytes would hide behind the
-        // tear's stale length prefix and poison the next restart's load.
-        Aof::truncate_to_clean(&aof_path(&dir, master), &outcome)?;
-        let aof = Aof::open(&aof_path(&dir, master), FsyncPolicy::Manual)?;
         let mut replica = Replica::from_parts(store, rifl, next_seq, epoch, Some(aof), base);
         replica.coverage = coverage;
         replica.rewritten = min_cov;
@@ -881,8 +843,14 @@ impl BackupService {
 
     /// Restores every master whose files survive in the data directory.
     /// Returns the restored ids (sorted). No-op on a memory-only service.
+    ///
+    /// First sweeps every stranded install tmp (`.snap`, `.fence`,
+    /// `.ckptN` or AOF rewrite) a crash between its creation and its
+    /// rename left behind: the rename is the commit point, so a tmp is
+    /// dead bytes.
     pub fn restore_all_from_disk(&self) -> std::io::Result<Vec<MasterId>> {
         let Some(dir) = self.dir.clone() else { return Ok(Vec::new()) };
+        sweep_tmps(&dir)?;
         let mut ids = std::collections::BTreeSet::new();
         for entry in std::fs::read_dir(&dir)? {
             let name = entry?.file_name();
@@ -945,7 +913,7 @@ impl BackupService {
                 // The tombstone snapshot now carries the epoch; the sidecar
                 // fence (always <= the in-memory epoch) is redundant.
                 let _ = std::fs::remove_file(fence_path(dir, master));
-                let _ = curp_storage::fsync_dir(dir);
+                let _ = fsync_dir(dir);
             }
         }
     }

@@ -9,6 +9,7 @@ use curp_proto::message::LogEntry;
 use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{ClientId, Epoch, MasterId, RpcId};
 use curp_rifl::RiflTable;
+use curp_storage::frames::tmp_path;
 use curp_storage::{Aof, ShardedStore, TempDir};
 
 const M: MasterId = MasterId(1);
@@ -58,8 +59,8 @@ fn ack_implies_entries_are_on_disk() {
     let bs = BackupService::durable(dir.path()).unwrap();
     applied(bs.sync(M, Epoch(1), &[entry(0, "k", "v", 1)]));
     let loaded = Aof::load(&dir.path().join("master-1.aof")).unwrap();
-    assert_eq!(loaded.entries.len(), 1, "ack preceded the AOF write");
-    assert_eq!(loaded.entries[0], entry(0, "k", "v", 1));
+    assert_eq!(loaded.records.len(), 1, "ack preceded the AOF write");
+    assert_eq!(loaded.records[0], entry(0, "k", "v", 1));
     assert!(!loaded.truncated);
 }
 
@@ -70,13 +71,13 @@ fn buffered_out_of_order_entries_are_not_persisted_early() {
         let bs = BackupService::durable(dir.path()).unwrap();
         // seq 1 arrives first: buffered, applied nowhere, persisted nowhere.
         applied(bs.sync(M, Epoch(1), &[entry(1, "b", "2", 1)]));
-        assert!(Aof::load(&dir.path().join("master-1.aof")).unwrap().entries.is_empty());
+        assert!(Aof::load(&dir.path().join("master-1.aof")).unwrap().records.is_empty());
         // seq 0 fills the gap: both go to disk in seq order, one batch.
         let next = applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1)]));
         assert_eq!(next, 2);
     }
     let loaded = Aof::load(&dir.path().join("master-1.aof")).unwrap();
-    let seqs: Vec<u64> = loaded.entries.iter().map(|e| e.seq).collect();
+    let seqs: Vec<u64> = loaded.records.iter().map(|e| e.seq).collect();
     assert_eq!(seqs, vec![0, 1], "AOF must hold the contiguous run in order");
     // A restart sees the full, ordered state.
     let bs = BackupService::durable(dir.path()).unwrap();
@@ -93,7 +94,7 @@ fn duplicate_resend_is_not_appended_twice() {
         applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1), entry(1, "a", "2", 2)]));
     }
     let loaded = Aof::load(&dir.path().join("master-1.aof")).unwrap();
-    assert_eq!(loaded.entries.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1]);
+    assert_eq!(loaded.records.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1]);
     let bs = BackupService::durable(dir.path()).unwrap();
     assert_eq!(bs.read(M, &Op::Get { key: b("a") }), Some(OpResult::Value(Some(b("2")))));
 }
@@ -228,4 +229,43 @@ fn restore_from_aof_rejects_memory_only_service() {
     assert!(!bs.is_durable());
     assert!(bs.restore_from_aof(M).is_err());
     assert!(bs.restore_all_from_disk().unwrap().is_empty());
+}
+
+/// Every file in `dir`, name → bytes.
+fn dir_contents(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn cold_restart_sweeps_stranded_install_tmps() {
+    // A crash between an install's tmp creation and its rename strands the
+    // tmp: the rename is the commit point, so it is dead bytes. A cold
+    // restart must remove every kind — snapshot, fence, checkpoint, AOF
+    // rewrite — and restore exactly the state the committed files hold.
+    let dir = TempDir::new("curp-durability-tmp-sweep").unwrap();
+    {
+        let bs = BackupService::durable(dir.path()).unwrap();
+        applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1), entry(1, "b", "2", 1)]));
+        bs.compact(M).unwrap();
+        applied(bs.sync(M, Epoch(1), &[entry(2, "c", "3", 1)]));
+        bs.set_epoch(M, Epoch(2));
+    }
+    let committed = dir_contents(dir.path());
+    for name in ["master-1.snap", "master-1.fence", "master-1.ckpt0", "master-1.aof"] {
+        std::fs::write(tmp_path(&dir.path().join(name)), b"torn install").unwrap();
+    }
+
+    let bs = BackupService::durable(dir.path()).unwrap();
+    assert_eq!(dir_contents(dir.path()), committed, "stranded tmps survived the restart");
+    assert_eq!(bs.next_seq(M), Some(3));
+    for (k, v) in [("a", "1"), ("b", "2"), ("c", "3")] {
+        assert_eq!(bs.read(M, &Op::Get { key: b(k) }), Some(OpResult::Value(Some(b(v)))));
+    }
+    assert!(matches!(bs.sync(M, Epoch(1), &[entry(3, "d", "4", 1)]), SyncOutcome::Fenced { .. }));
 }

@@ -14,6 +14,12 @@ fn sync_everything(f: &std::fs::File) {
     f.sync_data().unwrap_or(());
 }
 
+fn ack_above_a_helper(log: &mut Log) -> Response {
+    let ack = Response::BackupInstalled; // line 18: flagged (the helper below fsyncs)
+    log.sync().unwrap_or(());
+    ack
+}
+
 fn after_all_fsyncs() -> Response {
     Response::SyncDone // after the last fsync line: not flagged
 }

@@ -72,8 +72,21 @@ pub const ACK_TOKENS: &[&str] =
 /// path goes through its uniquely named, self-cleaning `TempDir`.
 pub const TEMP_DIR_HOME: &str = "crates/curp-storage/src/tempdir.rs";
 
-/// Fsync-performing method names.
-const FSYNC_TOKENS: &[&str] = &["sync_data", "sync_all", "fsync_dir"];
+/// Fsync-performing method names: the raw `std::fs` calls, plus the
+/// `curp_storage::frames` helpers that wrap them (`FramedLog::open`,
+/// `reset`, `rewrite` and `sync`, and the atomic file install), so a durable
+/// module that fsyncs only through helpers stays covered.
+const FSYNC_TOKENS: &[&str] = &[
+    "sync_data",
+    "sync_all",
+    "fsync_dir",
+    "sync",
+    "open",
+    "reset",
+    "rewrite",
+    "atomic_replace",
+    "atomic_replace_then",
+];
 
 /// Runs every rule applicable to `ctx` and appends findings.
 pub fn run_all(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {

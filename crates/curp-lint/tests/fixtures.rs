@@ -69,7 +69,11 @@ fn unwrap_fixture_fails_only_in_fast_path_crates() {
 #[test]
 fn ack_fsync_fixture_fails_only_under_durable_names() {
     let f = lint_fixture("ack_fsync.rs", "crates/curp-core/src/backup.rs", false);
-    assert_eq!(lines_for(&f, "ack-before-fsync"), vec![5], "marked + after-fsync acks stay quiet");
+    assert_eq!(
+        lines_for(&f, "ack-before-fsync"),
+        vec![5, 18],
+        "an ack above a helper fsync is flagged; marked + after-fsync acks stay quiet"
+    );
     // A non-durable module name disables the heuristic.
     let quiet = lint_fixture("ack_fsync.rs", "crates/curp-core/src/client.rs", false);
     assert_eq!(lines_for(&quiet, "ack-before-fsync"), Vec::<u32>::new());

@@ -8,31 +8,64 @@
 //! *before* it executes, so a restarted coordinator can read back the open
 //! plans and resume-or-abort each one to a consistent state.
 //!
-//! The on-disk format reuses the AOF frame discipline
-//! ([`crate::aof`]): length-prefixed frames, fsync-per-record, a torn final
-//! record tolerated on load, mid-log corruption refused. Each frame is one
-//! record — `Begin` (opens a plan, carries an opaque payload describing it),
-//! `Step` (one orchestration step's payload), or `Close` (the plan is done
-//! or deliberately aborted). On open, fully closed plans are compacted away
-//! by rewriting the log through a tmp+fsync+rename, the same
-//! replace-atomically discipline the snapshot files use.
+//! The on-disk format is a [`FramedLog`] of intent records: one frame per
+//! record, fsync-per-record, a torn final record tolerated on load,
+//! mid-log corruption refused. Each record is `Begin` (opens a plan,
+//! carries an opaque payload describing it), `Step` (one orchestration
+//! step's payload), or `Close` (the plan is done or deliberately aborted).
+//! On open, fully closed plans are compacted away by
+//! [`FramedLog::rewrite`] — the same atomic replace the snapshot files use.
 //!
 //! The journal stores opaque byte payloads: the *meaning* of a plan lives
 //! with its owner (the coordinator), which keeps this layer reusable and
 //! trivially testable.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use bytes::BytesMut;
-use curp_proto::frame::write_frame;
+use bytes::{Buf, BufMut};
+use curp_proto::wire::{need, Decode, DecodeError, Encode};
 
-use crate::aof::fsync_dir;
+use crate::frames::{FramedLog, FramedRecord};
 
 const TAG_BEGIN: u8 = 1;
 const TAG_STEP: u8 = 2;
 const TAG_CLOSE: u8 = 3;
+
+/// One journal record: `[tag u8][plan id u64 LE][payload…]`.
+#[derive(Debug)]
+struct Record {
+    tag: u8,
+    id: u64,
+    payload: Vec<u8>,
+}
+
+impl Encode for Record {
+    fn encode(&self, buf: &mut impl BufMut) {
+        buf.put_u8(self.tag);
+        buf.put_u64_le(self.id);
+        buf.put_slice(&self.payload);
+    }
+    fn encoded_len(&self) -> usize {
+        9 + self.payload.len()
+    }
+}
+
+impl Decode for Record {
+    fn decode(buf: &mut impl Buf) -> Result<Self, DecodeError> {
+        need(buf, 9)?;
+        let tag = buf.get_u8();
+        if !matches!(tag, TAG_BEGIN | TAG_STEP | TAG_CLOSE) {
+            return Err(DecodeError::InvalidTag { ty: "intent record", tag });
+        }
+        let id = buf.get_u64_le();
+        let payload = buf.copy_to_bytes(buf.remaining()).to_vec();
+        Ok(Record { tag, id, payload })
+    }
+}
+
+impl FramedRecord for Record {
+    const WHAT: &'static str = "intent";
+}
 
 /// A plan found open (begun, never closed) when the log was loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +87,7 @@ pub struct OpenPlan {
 #[derive(Debug)]
 pub struct IntentLog {
     path: PathBuf,
-    file: File,
+    log: FramedLog<Record>,
     next_plan: u64,
     recorded: u64,
     fail_after: Option<u64>,
@@ -64,51 +97,35 @@ impl IntentLog {
     /// Opens (creating if missing) the intent log at `path`, returning the
     /// journal and every plan left open by a previous incarnation.
     ///
-    /// A torn final record (crash mid-append) is cut off; closed plans are
-    /// compacted away via tmp+fsync+rename so the log stays bounded by the
-    /// in-flight plan count, not cluster lifetime.
+    /// A torn final record (crash mid-append) is dropped; closed plans are
+    /// compacted away by an atomic rewrite (which also heals the tear), so
+    /// the log stays bounded by the in-flight plan count, not cluster
+    /// lifetime.
     pub fn open(path: &Path) -> std::io::Result<(IntentLog, Vec<OpenPlan>)> {
-        let records = Self::load(path)?;
+        let mut records = FramedLog::<Record>::load(path)?.records;
         let mut open: Vec<OpenPlan> = Vec::new();
         let mut max_id = 0u64;
-        for (tag, id, payload) in &records {
-            max_id = max_id.max(*id);
-            match *tag {
+        for r in &records {
+            max_id = max_id.max(r.id);
+            match r.tag {
                 TAG_BEGIN => {
-                    open.push(OpenPlan { id: *id, begin: payload.clone(), steps: Vec::new() })
+                    open.push(OpenPlan { id: r.id, begin: r.payload.clone(), steps: Vec::new() })
                 }
                 TAG_STEP => {
-                    if let Some(p) = open.iter_mut().find(|p| p.id == *id) {
-                        p.steps.push(payload.clone());
+                    if let Some(p) = open.iter_mut().find(|p| p.id == r.id) {
+                        p.steps.push(r.payload.clone());
                     }
                 }
-                TAG_CLOSE => open.retain(|p| p.id != *id),
+                TAG_CLOSE => open.retain(|p| p.id != r.id),
                 _ => {}
             }
         }
-        // Compact: rewrite only the open plans' records, replace atomically.
-        // Also heals a torn tail (the rewrite simply omits it).
-        let tmp = path.with_extension("tmp");
-        let mut buf = BytesMut::new();
-        for (tag, id, payload) in &records {
-            if open.iter().any(|p| p.id == *id) {
-                write_frame(&encode_record(*tag, *id, payload), &mut buf);
-            }
-        }
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            fsync_dir(dir)?;
-        }
-        let file = OpenOptions::new().append(true).open(path)?;
+        records.retain(|r| open.iter().any(|p| p.id == r.id));
+        let log = FramedLog::rewrite(path, &records)?;
         Ok((
             IntentLog {
                 path: path.to_path_buf(),
-                file,
+                log,
                 next_plan: max_id + 1,
                 recorded: 0,
                 fail_after: None,
@@ -163,51 +180,17 @@ impl IntentLog {
             }
             self.fail_after = Some(budget - 1);
         }
-        let mut buf = BytesMut::new();
-        write_frame(&encode_record(tag, id, payload), &mut buf);
-        self.file.write_all(&buf)?;
-        self.file.sync_data()?;
+        self.log.append_batch(&[Record { tag, id, payload: payload.to_vec() }])?;
+        self.log.sync()?;
         self.recorded += 1;
         Ok(())
     }
-
-    /// Decodes every complete record at `path`. A missing file is an empty
-    /// log; a torn final record is dropped; a bad record with complete
-    /// frames after it is corruption ([`std::io::ErrorKind::InvalidData`]).
-    fn load(path: &Path) -> std::io::Result<Vec<(u8, u64, Vec<u8>)>> {
-        // The shared framed-log reader supplies the torn-tail-vs-corruption
-        // rule (same discipline as `Aof::load`); only the record codec is
-        // intent-specific.
-        let out = crate::frames::load_framed(path, "intent", |frame| {
-            decode_record(&frame).ok_or_else(String::new)
-        })?;
-        Ok(out.records)
-    }
-}
-
-fn encode_record(tag: u8, id: u64, payload: &[u8]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(9 + payload.len());
-    v.push(tag);
-    v.extend_from_slice(&id.to_le_bytes());
-    v.extend_from_slice(payload);
-    v
-}
-
-fn decode_record(frame: &[u8]) -> Option<(u8, u64, Vec<u8>)> {
-    if frame.len() < 9 {
-        return None;
-    }
-    let tag = frame[0];
-    if !matches!(tag, TAG_BEGIN | TAG_STEP | TAG_CLOSE) {
-        return None;
-    }
-    let id = u64::from_le_bytes(frame[1..9].try_into().ok()?);
-    Some((tag, id, frame[9..].to_vec()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
 
     /// A log path inside a fresh scratch directory, removed when the
     /// returned guard drops.

@@ -13,14 +13,17 @@
 //!   memtable over sorted-run files ([`RunFile`]) flushed in write
 //!   batches with the AOF frame/fsync discipline, a sparse index for
 //!   reads that miss the memtable, and background run merging.
-//! * [`Aof`] — a Redis-style append-only file with configurable fsync
-//!   policy (§5.4), including crash-safe whole-log rewrite
-//!   ([`Aof::rewrite`]) for bounded-log compaction.
-//! * [`IntentLog`] — a write-ahead journal of orchestration plans,
-//!   letting a coordinator that crashed mid-reconfiguration
-//!   resume-or-abort the in-flight plan on restart.
-//! * [`frames`] — the one torn-tail-vs-corruption framed-log reader all
-//!   of the above (and the witness journal in `curp-witness`) share.
+//! * [`frames`] — the one durable-write discipline: the framed
+//!   append-only log ([`FramedLog`]: torn-tail-vs-corruption load,
+//!   one write + one fsync per append round, crash-safe rewrite) and the
+//!   atomic tmp + fsync + rename + dir-fsync file install
+//!   ([`frames::atomic_replace`]). Every log and every installed file in
+//!   the system goes through it.
+//! * [`Aof`] — the Redis-style append-only file (§5.4): a [`FramedLog`]
+//!   of executed operations.
+//! * [`IntentLog`] — a write-ahead journal of orchestration plans over a
+//!   [`FramedLog`], letting a coordinator that crashed
+//!   mid-reconfiguration resume-or-abort the in-flight plan on restart.
 //!
 //! Construction goes through [`StoreConfig`]: callers pick a shard count
 //! and optionally a tier, and get a `Box<dyn StateStore<_>>` without
@@ -40,8 +43,8 @@ use std::path::PathBuf;
 use bytes::Bytes;
 use curp_proto::op::Op;
 
-pub use aof::{fsync_dir, Aof, FsyncPolicy, LoadOutcome};
-pub use frames::{decode_frames, load_framed, FramesOutcome};
+pub use aof::Aof;
+pub use frames::{fsync_dir, FramedLog, FramedRecord, FramesOutcome};
 pub use intent::{IntentLog, OpenPlan};
 pub use runfile::{RunFile, RunRecord};
 pub use sharded::{ShardGuards, ShardedStore, DEFAULT_STORE_SHARDS};

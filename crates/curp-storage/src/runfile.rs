@@ -48,7 +48,7 @@ use bytes::{Bytes, BytesMut};
 use curp_proto::frame::{write_frame, FrameDecoder};
 use curp_proto::wire::{Decode, Encode};
 
-use crate::aof::fsync_dir;
+use crate::frames::fsync_dir;
 use crate::store::Object;
 
 /// One sparse-index entry per this many records.

@@ -12,7 +12,8 @@ use curp_proto::frame::FrameDecoder;
 use curp_proto::message::LogEntry;
 use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{ClientId, RpcId};
-use curp_storage::{Aof, FsyncPolicy, TempDir};
+use curp_storage::frames::tmp_path;
+use curp_storage::{Aof, TempDir};
 use proptest::prelude::*;
 
 fn arb_entries() -> impl Strategy<Value = Vec<LogEntry>> {
@@ -63,7 +64,7 @@ proptest! {
         let dir = scratch();
         let path = dir.path().join("log.aof");
         {
-            let mut aof = Aof::open(&path, FsyncPolicy::Manual).unwrap();
+            let (mut aof, _) = Aof::open(&path).unwrap();
             aof.append_batch(&entries).unwrap();
             aof.sync().unwrap();
         }
@@ -75,10 +76,10 @@ proptest! {
             });
             let (frames, leftover) = complete_frames(&raw, cut);
             prop_assert_eq!(
-                outcome.entries.len(), frames,
+                outcome.records.len(), frames,
                 "cut {} of {}", cut, raw.len()
             );
-            prop_assert_eq!(&outcome.entries[..], &entries[..frames]);
+            prop_assert_eq!(&outcome.records[..], &entries[..frames]);
             prop_assert_eq!(outcome.truncated, leftover > 0);
             // clean_len marks exactly the loadable prefix: cutting the tear
             // there is what keeps the file appendable after recovery.
@@ -100,9 +101,9 @@ proptest! {
     ) {
         let dir = scratch();
         let path = dir.path().join("log.aof");
-        let tmp = path.with_extension("rewrite");
+        let tmp = tmp_path(&path);
         {
-            let mut aof = Aof::open(&path, FsyncPolicy::Manual).unwrap();
+            let (mut aof, _) = Aof::open(&path).unwrap();
             aof.append_batch(&old).unwrap();
             aof.sync().unwrap();
         }
@@ -111,7 +112,7 @@ proptest! {
         // completed rewrite at a scratch path yields them verbatim.
         let reference = dir.path().join("reference.aof");
         let new_raw = {
-            drop(Aof::rewrite(&reference, &new, FsyncPolicy::Never).unwrap());
+            drop(Aof::rewrite(&reference, &new).unwrap());
             std::fs::read(&reference).unwrap()
         };
 
@@ -125,7 +126,7 @@ proptest! {
                 panic!("tmp cut at {cut}/{} corrupted the live AOF: {e}", new_raw.len())
             });
             prop_assert_eq!(
-                &outcome.entries[..], &old[..],
+                &outcome.records[..], &old[..],
                 "tmp cut at {} leaked into the live log", cut
             );
             prop_assert!(!outcome.truncated, "the live AOF was never touched");
@@ -135,9 +136,9 @@ proptest! {
         // Phase 2 — the rename landed (tmp was complete and fsynced
         // first): the path now loads exactly the new entries.
         std::fs::write(&path, &old_raw).unwrap();
-        drop(Aof::rewrite(&path, &new, FsyncPolicy::Manual).unwrap());
+        drop(Aof::rewrite(&path, &new).unwrap());
         let outcome = Aof::load(&path).unwrap();
-        prop_assert_eq!(&outcome.entries[..], &new[..]);
+        prop_assert_eq!(&outcome.records[..], &new[..]);
         prop_assert!(!outcome.truncated);
         prop_assert!(!tmp.exists(), "a completed rewrite must consume its tmp file");
     }

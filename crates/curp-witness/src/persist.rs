@@ -15,18 +15,16 @@
 //! acknowledging — the write-ahead discipline that makes the paper's
 //! durability claim honest on disk-backed hardware.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, BytesMut};
-use curp_proto::frame::write_frame;
+use bytes::{Buf, BufMut};
 use curp_proto::lockrank;
 use curp_proto::message::{RecordedRequest, Request, Response};
 use curp_proto::types::{KeyHash, MasterId, RpcId};
 use curp_proto::wire::{
     decode_seq, encode_seq, need, seq_encoded_len, Decode, DecodeError, Encode,
 };
+use curp_storage::{FramedLog, FramedRecord};
 use parking_lot::Mutex;
 
 use crate::cache::CacheConfig;
@@ -97,10 +95,14 @@ impl Decode for JournalOp {
     }
 }
 
+impl FramedRecord for JournalOp {
+    const WHAT: &'static str = "journal";
+}
+
 /// A [`WitnessService`] with a write-ahead journal.
 pub struct JournaledWitness {
     inner: WitnessService,
-    journal: Mutex<File>,
+    journal: Mutex<FramedLog<JournalOp>>,
 }
 
 impl JournaledWitness {
@@ -115,13 +117,13 @@ impl JournaledWitness {
     /// `InvalidData`: silently skipping it would thaw acknowledged state.
     pub fn open(config: CacheConfig, path: &Path) -> std::io::Result<JournaledWitness> {
         let inner = WitnessService::new(config);
-        // Replay through the shared framed-log reader (a missing journal is
-        // a fresh witness; any *other* open failure — permissions, I/O —
-        // fails loudly: skipping replay on a transient error would boot an
-        // empty-but-acking witness and thaw frozen instances).
-        let out = curp_storage::load_framed(path, "journal", |frame| {
-            JournalOp::from_bytes_shared(frame).map_err(|e| e.to_string())
-        })?;
+        // The shared framed log loads the clean prefix, cuts a torn tail
+        // before the next append can hide behind it, and makes a new
+        // journal's directory entry durable. A missing journal is a fresh
+        // witness; any *other* open failure — permissions, I/O — fails
+        // loudly: skipping replay on a transient error would boot an
+        // empty-but-acking witness and thaw frozen instances.
+        let (journal, out) = FramedLog::open(path)?;
         for op in out.records {
             match op {
                 JournalOp::Start(m) => {
@@ -142,37 +144,17 @@ impl JournaledWitness {
                 JournalOp::End(m) => inner.end(m),
             }
         }
-        // Cut any torn tail before reopening for append: a new record
-        // journaled after the leftover bytes would hide behind the tear's
-        // stale length prefix and poison the next replay.
-        if out.truncated {
-            let t = OpenOptions::new().write(true).open(path)?;
-            t.set_len(out.clean_len)?;
-            t.sync_data()?;
-        }
-        let created = !path.exists();
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        if created {
-            // Make the directory entry durable too: a journal whose file
-            // can vanish with an unflushed directory in a power loss is not
-            // write-ahead storage (same rule as `curp_storage::fsync_dir`).
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                File::open(dir)?.sync_all()?;
-            }
-        }
         Ok(JournaledWitness {
             inner,
-            journal: Mutex::ranked(lockrank::WITNESS_JOURNAL, "witness.journal.file", file),
+            journal: Mutex::ranked(lockrank::WITNESS_JOURNAL, "witness.journal.file", journal),
         })
     }
 
-    fn append(&self, op: &JournalOp) -> std::io::Result<()> {
-        let mut buf = BytesMut::with_capacity(op.encoded_len() + 4);
-        write_frame(&op.to_bytes(), &mut buf);
+    fn append(&self, op: JournalOp) -> std::io::Result<()> {
         let mut journal = self.journal.lock();
-        journal.write_all(&buf)?;
+        journal.append_batch(&[op])?;
         // Write-ahead: the mutation must be stable before we acknowledge.
-        journal.sync_data()
+        journal.sync()
     }
 
     /// The wrapped in-memory service (read-only access for diagnostics).
@@ -195,7 +177,7 @@ impl JournaledWitness {
             _ => None,
         };
         if let Some(op) = journal_op {
-            if self.append(&op).is_err() {
+            if self.append(op).is_err() {
                 return match req {
                     Request::WitnessRecord { .. } => Response::RecordRejected,
                     _ => Response::Retry { reason: "witness journal write failed".into() },
@@ -212,6 +194,7 @@ mod tests {
     use bytes::Bytes;
     use curp_proto::op::Op;
     use curp_proto::types::ClientId;
+    use std::fs::OpenOptions;
 
     const M: MasterId = MasterId(1);
 

@@ -12,8 +12,8 @@
 //! to **every** server at once and cold-restarts the cluster from nothing
 //! but the on-disk AOFs and witness journals — no acknowledged write is
 //! lost, and exactly-once semantics survive the outage. A short
-//! fsync-policy comparison on the raw [`Aof`](curp::storage::Aof) substrate
-//! shows why the batching matters.
+//! fsync-per-write versus batched-fsync comparison on the raw
+//! [`Aof`](curp::storage::Aof) substrate shows why the batching matters.
 //!
 //! ```sh
 //! cargo run --example redis_durable
@@ -27,7 +27,7 @@ use curp::proto::op::{Op, OpResult};
 use curp::proto::types::{ClientId, RpcId};
 use curp::sim::tempdir::TempDir;
 use curp::sim::{run_sim, Mode, RamcloudParams, SimCluster};
-use curp::storage::{Aof, FsyncPolicy, ShardedStore};
+use curp::storage::{Aof, ShardedStore};
 
 fn b(s: &str) -> Bytes {
     Bytes::from(s.to_owned())
@@ -35,7 +35,7 @@ fn b(s: &str) -> Bytes {
 
 /// The §C.2 comparison on the raw substrate: per-write fsync (durable
 /// Redis) vs one fsync per 50-op batch (what the cluster's backups do).
-fn fsync_policy_comparison(dir: &std::path::Path) -> std::io::Result<()> {
+fn fsync_batching_comparison(dir: &std::path::Path) -> std::io::Result<()> {
     let entry = |seq: u64, op: Op, result: OpResult| LogEntry {
         seq,
         rpc_id: Some(RpcId::new(ClientId(1), seq + 1)),
@@ -43,13 +43,12 @@ fn fsync_policy_comparison(dir: &std::path::Path) -> std::io::Result<()> {
         result,
     };
     let n = 2_000u64;
-    for (policy, label) in [
-        (FsyncPolicy::Always, "fsync always  (durable Redis)"),
-        (FsyncPolicy::Manual, "batched fsync (CURP backups) "),
-    ] {
+    for (sync_every, label) in
+        [(1, "fsync always  (durable Redis)"), (50, "batched fsync (CURP backups) ")]
+    {
         let p = dir.join(format!("bench-{label:.5}.aof"));
         let store: ShardedStore = ShardedStore::new(1);
-        let mut aof = Aof::open(&p, policy)?;
+        let (mut aof, _) = Aof::open(&p)?;
         let t0 = Instant::now();
         for i in 0..n {
             let op = Op::Put {
@@ -57,9 +56,9 @@ fn fsync_policy_comparison(dir: &std::path::Path) -> std::io::Result<()> {
                 value: Bytes::from(vec![b'x'; 100]),
             };
             let result = store.execute(&op);
-            aof.append(&entry(i, op, result))?;
-            if policy == FsyncPolicy::Manual && i % 50 == 49 {
-                aof.sync()?; // one fsync per 50-op round, like the backups
+            aof.append_batch(&[entry(i, op, result)])?;
+            if i % sync_every == sync_every - 1 {
+                aof.sync()?; // after every write, or once per 50-op round like the backups
             }
         }
         aof.sync()?;
@@ -72,12 +71,12 @@ fn fsync_policy_comparison(dir: &std::path::Path) -> std::io::Result<()> {
 fn main() -> std::io::Result<()> {
     let dir = TempDir::new("curp-redis-durable-example")?;
 
-    println!("fsync policies on the raw AOF substrate:");
-    fsync_policy_comparison(dir.path())?;
+    println!("fsync per write vs per 50-write batch on the raw AOF substrate:");
+    fsync_batching_comparison(dir.path())?;
 
     run_sim(async move {
         // The wired path: every server persists — backups keep per-master
-        // AOFs (FsyncPolicy::Manual, one write+fsync per sync round),
+        // AOFs (one write + one fsync per sync round),
         // witnesses journal each record before the ack.
         let mut cluster =
             SimCluster::build_durable(Mode::Curp, RamcloudParams::new(3), 1, dir.path()).await;
