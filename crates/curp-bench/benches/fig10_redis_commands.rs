@@ -6,16 +6,16 @@
 //! ~+10 µs with 2 witnesses (tail effects).
 
 use curp_bench::{figure_header, print_scalar};
-use curp_sim::redis::RedisCommand;
-use curp_sim::{run_sim, RedisMode, RedisParams, RedisSim};
+use curp_sim::{run_sim, RedisCommand, RedisMode, RedisOps, SimCluster};
 
 const SAMPLES: usize = 3_000;
 const KEYS: u64 = 2_000_000;
 
 fn median(mode: RedisMode, cmd: RedisCommand) -> f64 {
     run_sim(async move {
-        let sim = RedisSim::build(mode, RedisParams::default()).await;
-        let mut rec = sim.measure_command_latency(cmd, SAMPLES, KEYS, 30, 100).await;
+        let cluster = SimCluster::build_redis(mode).await;
+        let ops = RedisOps { command: cmd, keys: KEYS };
+        let (mut rec, _) = cluster.run_serial(SAMPLES, 0x1234, ops).await;
         rec.median_us()
     })
 }

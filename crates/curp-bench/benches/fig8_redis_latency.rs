@@ -6,15 +6,17 @@
 //! heavy-tailed TCP RPCs); fsync-always durable Redis is ~100 µs slower.
 
 use curp_bench::{figure_header, print_scalar, print_series};
-use curp_sim::{run_sim, RedisMode, RedisParams, RedisSim};
+use curp_sim::{run_sim, RedisCommand, RedisMode, RedisOps, SimCluster};
 
 const SAMPLES: usize = 6_000;
 const KEYS: u64 = 1_000_000;
 
 fn measure(mode: RedisMode) -> curp_workload::LatencyRecorder {
     run_sim(async move {
-        let sim = RedisSim::build(mode, RedisParams::default()).await;
-        sim.measure_set_latency(SAMPLES, KEYS, 30, 100).await
+        let cluster = SimCluster::build_redis(mode).await;
+        let sets = RedisOps { command: RedisCommand::Set, keys: KEYS };
+        // Salt 0xABCD: this figure's own SET stream (Figure 10 uses another).
+        cluster.run_serial(SAMPLES, 0xABCD, sets).await.0
     })
 }
 

@@ -5,15 +5,16 @@
 //! loop amortizes one fsync across all ready clients.
 
 use curp_bench::{figure_header, print_series};
-use curp_sim::{run_sim, vus, RedisMode, RedisParams, RedisSim};
+use curp_sim::{run_sim, vus, RedisCommand, RedisMode, RedisOps, SimCluster};
 
 const CLIENT_COUNTS: &[usize] = &[1, 2, 5, 10, 20, 40, 60];
 const DURATION_US: u64 = 30_000;
 
 fn throughput(mode: RedisMode, clients: usize) -> f64 {
     run_sim(async move {
-        let sim = RedisSim::build(mode, RedisParams::default()).await;
-        let r = sim.run_closed_loop(clients, vus(DURATION_US)).await;
+        let cluster = SimCluster::build_redis(mode).await;
+        let sets = |_| RedisOps { command: RedisCommand::Set, keys: 2_000_000 };
+        let r = cluster.run_closed_loop(clients, vus(DURATION_US), sets).await;
         r.throughput_ops_per_sec / 1_000.0
     })
 }

@@ -35,6 +35,6 @@ pub mod snapshot;
 pub use backup::BackupService;
 pub use client::{ClientError, Completion, CurpClient, PipelineConfig, PipelinedClient};
 pub use coordinator::{Coordinator, CoordinatorHandler};
-pub use master::{Master, MasterConfig};
+pub use master::{Master, MasterConfig, SyncMode};
 pub use server::{CurpServer, ServerHandler};
 pub use snapshot::Snapshot;

@@ -1,9 +1,18 @@
-//! The RAMCloud-class simulated cluster (Figures 5, 6, 7 and 12).
+//! The simulated deployment: one [`SimCluster`] type, two calibrations.
 //!
-//! Calibration targets come straight from §5.1: small unreplicated writes
-//! ≈ 6.9 µs, CURP (f=3) ≈ 7.3 µs, synchronous 3-way replication ≈ 13.8 µs,
-//! single-server CURP throughput ≈ 4× the synchronous baseline with masters
-//! bottlenecked on a dispatch thread. The model prices four things:
+//! The paper evaluates one protocol on two systems, and they differ only
+//! in calibration. Each builder fills one [`Topology`] (which server plays
+//! which role) and one private calibration record (network profile,
+//! per-message costs, master and client tuning); everything else — server
+//! registration, client creation, the closed loop and the serial latency
+//! loop — is shared and reads those two values, never the deployment.
+//!
+//! **RAMCloud-class** ([`SimCluster::build`] and friends; Figures 5, 6, 7
+//! and 12). Calibration targets come straight from §5.1: small
+//! unreplicated writes ≈ 6.9 µs, CURP (f=3) ≈ 7.3 µs, synchronous 3-way
+//! replication ≈ 13.8 µs, single-server CURP throughput ≈ 4× the
+//! synchronous baseline with masters bottlenecked on a dispatch thread.
+//! The model prices four things:
 //!
 //! * one-way network delay — the InfiniBand profile (~2.2 µs, thin tail);
 //! * a per-message *dispatch* cost at every server (the RAMCloud dispatch
@@ -13,6 +22,10 @@
 //!   process), the paper's 0.4 µs;
 //! * a per-operation execution cost on the master's worker threads
 //!   (parallel, so it adds latency but not a throughput ceiling).
+//!
+//! **Redis-class** ([`SimCluster::build_redis`], in [`crate::redis`];
+//! Figures 8, 9, 10 and 13): kernel TCP, syscall costs and a local
+//! fsync-priced append-only file (§5.4).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -20,19 +33,22 @@ use std::time::Duration;
 
 use curp_core::client::{ClientConfig, CurpClient, PipelineConfig, PipelinedClient};
 use curp_core::coordinator::{Coordinator, CoordinatorHandler};
-use curp_core::master::MasterConfig;
+use curp_core::master::{MasterConfig, SyncMode};
 use curp_core::server::{CurpServer, ServerHandler};
 use curp_proto::cluster::HashRange;
+use curp_proto::message::{Request, Response};
 use curp_proto::op::Op;
 use curp_proto::types::{MasterId, ServerId};
 use curp_storage::StoreConfig;
-use curp_transport::latency::NetProfile;
+use curp_transport::latency::{Fixed, LatencyModel, NetProfile};
 use curp_transport::mem::{MemNetwork, ServerSpec};
+use curp_transport::rpc::{BoxFuture, RpcHandler, SharedHandler};
 use curp_witness::cache::CacheConfig;
 use curp_workload::open_loop::{run_open_loop, OpenLoopConfig, OpenLoopReport};
 use curp_workload::{LatencyRecorder, Workload, WorkloadOp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tokio::time::Instant;
 
 use crate::time::{to_virtual_ns, vns, vus, MODEL_SCALE};
 
@@ -127,22 +143,169 @@ pub struct RunResult {
 
 const COORD: ServerId = ServerId(9_999);
 
-/// A simulated RAMCloud-class cluster.
+/// The static server layout of a [`SimCluster`]: which server hosts which
+/// role at build time. The builders fill it, and every layout accessor,
+/// restart path and nemesis reads it. [`Topology::ramcloud`] is
+/// computable *before* the cluster exists — the chaos fleet sizes its
+/// victim draws from it, so a drawn schedule depends only on the seed.
+///
+/// Only *masters* ever move at runtime (recovery onto a spare, a split
+/// onto a spare), so the backup and witness lists stay accurate for the
+/// lifetime of the cluster; [`SimCluster::master_servers`] reads the live
+/// masters from the coordinator.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Topology {
+    /// The initial master hosts, one per partition in hash-range order.
+    pub masters: Vec<ServerId>,
+    /// The backup hosts every partition replicates to.
+    pub backups: Vec<ServerId>,
+    /// The witness hosts every partition records on (the backups when
+    /// co-hosted; empty outside CURP).
+    pub witnesses: Vec<ServerId>,
+    /// Role-less servers kept in reserve for recovery and splits.
+    pub spares: Vec<ServerId>,
+}
+
+impl Topology {
+    /// The RAMCloud-class layout: masters on `s1..=partitions`, then the
+    /// `f` backups, then — for CURP under
+    /// [`RamcloudParams::separate_witnesses`] — `f` witness-only hosts
+    /// (otherwise the backups host the witnesses, as Figure 2 allows), then
+    /// the spares (at least one).
+    pub fn ramcloud(mode: Mode, params: &RamcloudParams, partitions: usize) -> Topology {
+        let f = if mode == Mode::Unreplicated { 0 } else { params.f };
+        let mut next = 1;
+        let mut block = |n: usize| -> Vec<ServerId> {
+            let ids = (next..next + n as u64).map(ServerId).collect();
+            next += n as u64;
+            ids
+        };
+        let masters = block(partitions);
+        let backups = block(f);
+        let witnesses = match mode {
+            Mode::Curp if params.separate_witnesses => block(f),
+            Mode::Curp => backups.clone(),
+            _ => Vec::new(),
+        };
+        let spares = block(params.spares.max(1));
+        Topology { masters, backups, witnesses, spares }
+    }
+
+    /// Backups ∪ witnesses, in ascending order: every server a non-master
+    /// nemesis may pick on.
+    pub fn replica_pool(&self) -> Vec<ServerId> {
+        let mut pool = self.backups.clone();
+        for w in &self.witnesses {
+            if !pool.contains(w) {
+                pool.push(*w);
+            }
+        }
+        pool
+    }
+
+    /// Every server, in registration (ascending id) order.
+    fn servers(&self) -> Vec<ServerId> {
+        let mut all = self.masters.clone();
+        all.extend(self.replica_pool());
+        all.extend(&self.spares);
+        all
+    }
+}
+
+/// Everything the shared build, client and loop code reads that differs
+/// between the two calibrations. Only the builders fill it.
+pub(crate) struct Calibration {
+    /// Default one-way latency of every link.
+    pub(crate) latency: Arc<dyn LatencyModel>,
+    /// How long an RPC waits before it fails with a timeout.
+    pub(crate) rpc_timeout: Duration,
+    /// Seed of the network model and of the client loops' RNGs.
+    pub(crate) seed: u64,
+    /// Per-message cost on masters and spares.
+    pub(crate) master_dispatch: Duration,
+    /// Per-message cost on backup hosts.
+    pub(crate) backup_dispatch: Duration,
+    /// Per-message cost on witness-only hosts.
+    pub(crate) witness_dispatch: Duration,
+    /// Per-message cost on each client.
+    pub(crate) client_dispatch: Duration,
+    /// `Some(fsync)`: the backups are the master's local append-only file —
+    /// zero-latency links to the masters, and every `BackupSync` pays one
+    /// fsync ([`AofHandler`]).
+    pub(crate) local_aof_fsync: Option<Duration>,
+    /// Master tuning handed to the coordinator.
+    pub(crate) master: MasterConfig,
+    /// Client tuning.
+    pub(crate) client: ClientConfig,
+    /// Root of the tiered backup engine, if any
+    /// ([`RamcloudParams::tiered`]).
+    pub(crate) tiered: Option<PathBuf>,
+}
+
+/// Wraps a backup so every sync batch pays one fsync: the local
+/// append-only file of the Redis deployment.
+struct AofHandler {
+    inner: ServerHandler,
+    fsync: Duration,
+}
+
+impl RpcHandler for AofHandler {
+    fn handle(&self, from: ServerId, req: Request) -> BoxFuture<'static, Response> {
+        let fsync = matches!(req, Request::BackupSync { .. }).then_some(self.fsync);
+        let fut = self.inner.handle(from, req);
+        Box::pin(async move {
+            if let Some(fsync) = fsync {
+                // One fsync per replicated batch, regardless of batch size —
+                // this is what amortizes the cost under load (§C.2).
+                tokio::time::sleep(fsync).await;
+            }
+            fut.await
+        })
+    }
+}
+
+/// A per-client stream of operations for the shared client loops: the
+/// RAMCloud figures draw from a [`Workload`], the Redis figures from
+/// [`RedisOps`](crate::redis::RedisOps).
+pub trait OpSource: Send + 'static {
+    /// Draws the next operation.
+    fn draw(&mut self, rng: &mut StdRng) -> Op;
+}
+
+impl OpSource for Workload {
+    fn draw(&mut self, rng: &mut StdRng) -> Op {
+        match self.next_op(rng) {
+            WorkloadOp::Update { key, value } => Op::Put { key, value },
+            WorkloadOp::Read { key } => Op::Get { key },
+        }
+    }
+}
+
+/// Runs `op` to completion: read-only operations through the read path,
+/// the rest as updates.
+async fn issue(client: &CurpClient, op: Op) {
+    if op.is_read_only() {
+        client.read(op).await.expect("read failed");
+    } else {
+        client.update(op).await.expect("update failed");
+    }
+}
+
+/// A simulated cluster of either calibration.
 pub struct SimCluster {
     /// The underlying network (exposed for fault injection in tests).
     pub net: MemNetwork,
     /// The coordinator (exposed for recovery orchestration in tests).
     pub coord: Arc<Coordinator>,
-    /// All servers: the partition masters first, then the f replica servers
-    /// (co-hosted backup + witness), then [`RamcloudParams::spares`] spares.
+    /// All servers in ascending id order: the masters, then the backup and
+    /// witness hosts, then the spares (see [`Topology`]).
     pub servers: Vec<Arc<CurpServer>>,
     /// The first partition's master id.
     pub master_id: MasterId,
     /// Every partition's master id, in hash-range order.
     pub master_ids: Vec<MasterId>,
-    mode: Mode,
-    params: RamcloudParams,
-    partitions: usize,
+    topology: Topology,
+    cal: Calibration,
     /// Root of the per-server data directories when built durable
     /// ([`SimCluster::build_durable`]); `None` for a memory-only cluster.
     durable_root: Option<PathBuf>,
@@ -164,7 +327,7 @@ impl SimCluster {
         params: RamcloudParams,
         partitions: usize,
     ) -> SimCluster {
-        Self::build_inner(mode, params, partitions, None).await
+        Self::build_ramcloud(mode, params, partitions, None).await
     }
 
     /// Builds a **durable** cluster: every server is a
@@ -179,130 +342,144 @@ impl SimCluster {
         partitions: usize,
         root: &Path,
     ) -> SimCluster {
-        Self::build_inner(mode, params, partitions, Some(root.to_path_buf())).await
+        Self::build_ramcloud(mode, params, partitions, Some(root.to_path_buf())).await
     }
 
-    async fn build_inner(
+    async fn build_ramcloud(
         mode: Mode,
         params: RamcloudParams,
         partitions: usize,
         durable_root: Option<PathBuf>,
     ) -> SimCluster {
         assert!(partitions >= 1);
-        let f = match mode {
-            Mode::Unreplicated => 0,
-            _ => params.f,
+        let topology = Topology::ramcloud(mode, &params, partitions);
+        let replica_dispatch = vns(params.server_dispatch_ns);
+        let cal = Calibration {
+            latency: Arc::new(NetProfile::Infiniband.model().scaled(MODEL_SCALE)),
+            rpc_timeout: vus(5_000),
+            seed: params.seed,
+            master_dispatch: vns(params.master_dispatch_ns),
+            backup_dispatch: replica_dispatch,
+            witness_dispatch: replica_dispatch,
+            client_dispatch: vns(params.client_dispatch_ns),
+            local_aof_fsync: None,
+            master: MasterConfig {
+                batch_size: params.batch_size,
+                sync_interval: vns(params.sync_interval_ns),
+                exec_cost: vns(params.exec_ns),
+                hotkey_sync: params.hotkey_sync && mode == Mode::Curp,
+                hotkey_window: params.batch_size as u64,
+                sync_retry_limit: 10,
+                sync_retry_backoff: vus(100),
+                sync_mode: if mode == Mode::Original {
+                    SyncMode::PerRequest
+                } else {
+                    SyncMode::Speculative
+                },
+                store: StoreConfig::default(),
+            },
+            client: ClientConfig {
+                record_witnesses: mode == Mode::Curp,
+                max_retries: 50,
+                retry_backoff: vus(50),
+                retry_backoff_max: vus(800),
+            },
+            tiered: params.tiered,
         };
-        let net = MemNetwork::new(params.seed);
-        net.set_default_latency(Arc::new(NetProfile::Infiniband.model().scaled(MODEL_SCALE)));
-        net.set_rpc_timeout(vus(5_000));
+        Self::assemble(cal, topology, durable_root).await
+    }
 
-        let master_cfg = MasterConfig {
-            batch_size: params.batch_size,
-            sync_interval: vns(params.sync_interval_ns),
-            exec_cost: vns(params.exec_ns),
-            hotkey_sync: params.hotkey_sync && mode == Mode::Curp,
-            hotkey_window: params.batch_size as u64,
-            sync_retry_limit: 10,
-            sync_retry_backoff: vus(100),
-            sync_every_op: mode == Mode::Original,
-            sync_coalesce: Duration::ZERO,
-            sync_workers: 4,
-            sync_group_commit: false,
-            ..MasterConfig::default()
-        };
+    /// The build both calibrations share: network, coordinator, every
+    /// server of `topology` in id order, then one partition per master
+    /// over an even split of the hash space.
+    pub(crate) async fn assemble(
+        cal: Calibration,
+        topology: Topology,
+        durable_root: Option<PathBuf>,
+    ) -> SimCluster {
+        let net = MemNetwork::new(cal.seed);
+        net.set_default_latency(Arc::clone(&cal.latency));
+        net.set_rpc_timeout(cal.rpc_timeout);
+
         let net_for_factory = net.clone();
+        let factory = Box::new(move |id| net_for_factory.client(id));
         // On a durable cluster the coordinator write-ahead-logs every
         // orchestration plan (recovery, migration) to an intent log under
         // the same root, so a coordinator kill mid-plan can cold-boot and
-        // resume — see `CoordinatorCrash` in `nemesis.rs`.
+        // resume — see `CoordinatorCrash` in `nemesis.rs`. Leases
+        // effectively never expire inside a run.
         let coord = match &durable_root {
             Some(root) => {
                 std::fs::create_dir_all(root).expect("create durable root");
                 Coordinator::new_durable(
-                    Box::new(move |id| net_for_factory.client(id)),
-                    master_cfg,
-                    u64::MAX / 4, // leases effectively never expire inside a run
+                    factory,
+                    cal.master.clone(),
+                    u64::MAX / 4,
                     &root.join("coordinator.intent"),
                 )
                 .expect("open coordinator intent log")
             }
-            None => Coordinator::new(
-                Box::new(move |id| net_for_factory.client(id)),
-                master_cfg,
-                u64::MAX / 4,
-            ),
+            None => Coordinator::new(factory, cal.master.clone(), u64::MAX / 4),
         };
         net.add_simple_server(COORD, Arc::new(CoordinatorHandler(Arc::clone(&coord))));
 
-        // Masters on s1..=sN with their dispatch threads; f replica servers
-        // hosting backup + witness (co-hosted, Figure 2) — or, with
-        // `separate_witnesses`, f backup servers followed by f witness-only
-        // servers; `params.spares` spares for recovery and scale-out.
-        let wit_extra = if params.separate_witnesses && mode == Mode::Curp { params.f } else { 0 };
-        let mut servers = Vec::new();
-        for i in 1..=(partitions + f + wit_extra + params.spares.max(1)) {
-            let s = Self::boot_server(i, durable_root.as_deref(), params.tiered.as_deref());
-            let dispatch = Self::dispatch_cost(i, partitions, f + wit_extra, &params);
-            net.add_server(
-                s.id(),
-                Arc::new(ServerHandler(Arc::clone(&s))),
-                ServerSpec { dispatch_cost: dispatch },
-            );
-            coord.register_server(Arc::clone(&s));
-            servers.push(s);
-        }
-        let backups: Vec<ServerId> =
-            (partitions + 1..partitions + 1 + f).map(|i| ServerId(i as u64)).collect();
-        let witnesses: Vec<ServerId> = if mode == Mode::Curp {
-            if wit_extra > 0 {
-                (partitions + 1 + f..partitions + 1 + f + wit_extra)
-                    .map(|i| ServerId(i as u64))
-                    .collect()
-            } else {
-                backups.clone()
-            }
-        } else {
-            Vec::new()
+        let mut cluster = SimCluster {
+            net,
+            coord,
+            servers: Vec::new(),
+            master_id: MasterId(0),
+            master_ids: Vec::new(),
+            topology,
+            cal,
+            durable_root,
         };
+        for id in cluster.topology.servers() {
+            let s = cluster.boot_server(id);
+            cluster.install(&s);
+            cluster.servers.push(s);
+        }
+        if cluster.cal.local_aof_fsync.is_some() {
+            // Local disk: zero network latency both ways.
+            for m in &cluster.topology.masters {
+                for b in &cluster.topology.backups {
+                    cluster.net.set_link_latency(*m, *b, Arc::new(Fixed(Duration::ZERO)));
+                    cluster.net.set_link_latency(*b, *m, Arc::new(Fixed(Duration::ZERO)));
+                }
+            }
+        }
 
         // Even split of the hash space: partition p owns [p*stride,
         // (p+1)*stride), with the last range running to u64::MAX (inclusive
         // of the top hash, see HashRange).
+        let partitions = cluster.topology.masters.len();
         let stride = u64::MAX / partitions as u64;
-        let mut master_ids = Vec::with_capacity(partitions);
-        for p in 0..partitions {
+        for (p, master) in cluster.topology.masters.iter().enumerate() {
             let range = HashRange {
                 start: p as u64 * stride,
                 end: if p + 1 == partitions { u64::MAX } else { (p as u64 + 1) * stride },
             };
-            let id = coord
-                .create_partition(ServerId(p as u64 + 1), backups.clone(), witnesses.clone(), range)
+            let id = cluster
+                .coord
+                .create_partition(
+                    *master,
+                    cluster.topology.backups.clone(),
+                    cluster.topology.witnesses.clone(),
+                    range,
+                )
                 .await
                 .expect("create partition");
-            master_ids.push(id);
+            cluster.master_ids.push(id);
         }
-        let master_id = master_ids[0];
-        SimCluster {
-            net,
-            coord,
-            servers,
-            master_id,
-            master_ids,
-            mode,
-            params,
-            partitions,
-            durable_root,
-        }
+        cluster.master_id = cluster.master_ids[0];
+        cluster
     }
 
-    /// Boots (or reboots) server `i`'s process object: durable servers
-    /// reopen their data directory, which replays the backup AOFs and the
-    /// witness journal. With `tiered` set, the backup role's replicas run
-    /// on the larger-than-memory engine rooted under that directory.
-    fn boot_server(i: usize, root: Option<&Path>, tiered: Option<&Path>) -> Arc<CurpServer> {
-        let id = ServerId(i as u64);
-        let store = match tiered {
+    /// Boots (or reboots) server `id`'s process object: on a durable
+    /// cluster it reopens the server's data directory, which replays the
+    /// backup AOFs and the witness journal. With a tiered root, the backup
+    /// role's replicas run on the larger-than-memory engine.
+    fn boot_server(&self, id: ServerId) -> Arc<CurpServer> {
+        let store = match &self.cal.tiered {
             Some(tier_root) => {
                 let mut cfg = StoreConfig::tiered(1, tier_root);
                 if let Some(tier) = cfg.tier.as_mut() {
@@ -314,38 +491,41 @@ impl SimCluster {
             }
             None => StoreConfig::memory(1),
         };
-        match root {
+        match &self.durable_root {
             Some(root) => CurpServer::new_durable_with(
                 id,
                 CacheConfig::default(),
-                &root.join(format!("s{i}")),
+                &root.join(format!("s{}", id.0)),
                 store,
             )
-            .unwrap_or_else(|e| panic!("boot durable server s{i}: {e}")),
+            .unwrap_or_else(|e| panic!("boot durable server s{}: {e}", id.0)),
             None => CurpServer::new_with(id, CacheConfig::default(), store),
         }
     }
 
-    /// Spares (beyond the `replicas` backup/witness block) are priced like
-    /// masters: promotion — churn recovery or an autoscaler split — is the
-    /// only way they ever see traffic, and it hands them a master's
-    /// dispatch thread.
-    fn dispatch_cost(
-        i: usize,
-        partitions: usize,
-        replicas: usize,
-        params: &RamcloudParams,
-    ) -> Duration {
-        if i <= partitions || i > partitions + replicas {
-            vns(params.master_dispatch_ns)
+    /// Puts server `s` on the network, priced by its role in the topology,
+    /// and registers it with the coordinator. Re-adding an id installs a
+    /// fresh, non-crashed entry (a machine that powered back on).
+    fn install(&self, s: &Arc<CurpServer>) {
+        let id = s.id();
+        let is_backup = self.topology.backups.contains(&id);
+        // Spares are priced like masters: promotion — churn recovery or an
+        // autoscaler split — is the only way they ever see traffic, and it
+        // hands them a master's dispatch thread.
+        let dispatch_cost = if is_backup {
+            self.cal.backup_dispatch
+        } else if self.topology.witnesses.contains(&id) {
+            self.cal.witness_dispatch
         } else {
-            vns(params.server_dispatch_ns)
-        }
-    }
-
-    /// Size of the backup/witness server block laid out after the masters.
-    fn replica_block(&self) -> usize {
-        self.f() + if self.witnesses_separate() { self.f() } else { 0 }
+            self.cal.master_dispatch
+        };
+        let inner = ServerHandler(Arc::clone(s));
+        let handler: SharedHandler = match self.cal.local_aof_fsync {
+            Some(fsync) if is_backup => Arc::new(AofHandler { inner, fsync }),
+            _ => Arc::new(inner),
+        };
+        self.net.add_server(id, handler, ServerSpec { dispatch_cost });
+        self.coord.register_server(Arc::clone(s));
     }
 
     /// The power-loss nemesis (§5.4's crash model, applied to the whole
@@ -361,10 +541,9 @@ impl SimCluster {
     /// restarted cluster publishes its new partition map. Returns the new
     /// master ids in partition order and updates `master_id(s)`.
     pub async fn power_loss_restart(&mut self) -> Result<Vec<MasterId>, String> {
-        let root = self
-            .durable_root
-            .clone()
-            .ok_or_else(|| "power_loss_restart requires build_durable".to_string())?;
+        if self.durable_root.is_none() {
+            return Err("power_loss_restart requires build_durable".into());
+        }
         // Lights out. Sealing the old masters models the process death of
         // their background syncer tasks (a real power loss stops them; the
         // sim's tasks would otherwise keep running off the old Arcs).
@@ -373,23 +552,16 @@ impl SimCluster {
             s.seal_master();
         }
         // Cold boot: fresh process objects over the same directories. The
-        // durable constructor replays each server's AOFs and journal;
-        // re-registering the handler clears the crashed flag (a machine
-        // that powered back on).
-        let mut fresh = Vec::with_capacity(self.servers.len());
-        for idx in 0..self.servers.len() {
-            let i = idx + 1;
-            let s = Self::boot_server(i, Some(root.as_path()), self.params.tiered.as_deref());
-            let dispatch =
-                Self::dispatch_cost(i, self.partitions, self.replica_block(), &self.params);
-            self.net.add_server(
-                s.id(),
-                Arc::new(ServerHandler(Arc::clone(&s))),
-                ServerSpec { dispatch_cost: dispatch },
-            );
-            self.coord.register_server(Arc::clone(&s));
-            fresh.push(s);
-        }
+        // durable constructor replays each server's AOFs and journal.
+        let fresh: Vec<Arc<CurpServer>> = self
+            .servers
+            .iter()
+            .map(|old| {
+                let s = self.boot_server(old.id());
+                self.install(&s);
+                s
+            })
+            .collect();
         self.servers = fresh;
         // The coordinator (the consensus-backed config store the paper
         // assumes) survives the outage and re-anchors every partition —
@@ -423,40 +595,25 @@ impl SimCluster {
         self.coord.reload_intent().map_err(|e| format!("reload intent log: {e}"))
     }
 
-    fn f(&self) -> usize {
-        match self.mode {
-            Mode::Unreplicated => 0,
-            _ => self.params.f,
-        }
-    }
-
-    fn witnesses_separate(&self) -> bool {
-        self.params.separate_witnesses && self.mode == Mode::Curp
-    }
-
     /// Servers currently hosting a live master, in partition order.
     pub fn master_servers(&self) -> Vec<ServerId> {
         self.coord.config().partitions.iter().map(|p| p.master).collect()
     }
 
-    /// The `f` backup servers (static layout: right after the masters).
+    /// The server layout this cluster was built with.
+    pub fn topology(&self) -> &Topology {
+        &self.topology
+    }
+
+    /// The backup servers.
     pub fn backup_servers(&self) -> Vec<ServerId> {
-        (self.partitions + 1..self.partitions + 1 + self.f()).map(|i| ServerId(i as u64)).collect()
+        self.topology.backups.clone()
     }
 
     /// The witness servers: the backup servers when co-hosted (default), a
-    /// separate block of `f` servers under
-    /// [`RamcloudParams::separate_witnesses`].
+    /// separate block under [`RamcloudParams::separate_witnesses`].
     pub fn witness_servers(&self) -> Vec<ServerId> {
-        if self.mode != Mode::Curp {
-            return Vec::new();
-        }
-        let start = if self.witnesses_separate() {
-            self.partitions + 1 + self.f()
-        } else {
-            self.partitions + 1
-        };
-        (start..start + self.f()).map(|i| ServerId(i as u64)).collect()
+        self.topology.witnesses.clone()
     }
 
     /// A registered, reachable server holding no current role — the
@@ -502,25 +659,15 @@ impl SimCluster {
         if self.coord.config().partitions.iter().any(|p| p.master == id) {
             return Err(format!("s{} hosts a live master; use churn_master", id.0));
         }
-        match self.durable_root.clone() {
-            Some(root) => {
-                let i = id.0 as usize;
-                let s = Self::boot_server(i, Some(root.as_path()), self.params.tiered.as_deref());
-                let dispatch =
-                    Self::dispatch_cost(i, self.partitions, self.replica_block(), &self.params);
-                // add_server installs a fresh (non-crashed) entry.
-                self.net.add_server(
-                    id,
-                    Arc::new(ServerHandler(Arc::clone(&s))),
-                    ServerSpec { dispatch_cost: dispatch },
-                );
-                self.coord.register_server(Arc::clone(&s));
-                match self.servers.iter_mut().find(|srv| srv.id() == id) {
-                    Some(slot) => *slot = s,
-                    None => self.servers.push(s),
-                }
+        if self.durable_root.is_some() {
+            let s = self.boot_server(id);
+            self.install(&s);
+            match self.servers.iter_mut().find(|srv| srv.id() == id) {
+                Some(slot) => *slot = s,
+                None => self.servers.push(s),
             }
-            None => self.net.restart(id),
+        } else {
+            self.net.restart(id);
         }
         Ok(())
     }
@@ -563,61 +710,50 @@ impl SimCluster {
     }
 
     /// Creates a client. Client ids start at 100 and each gets its own
-    /// dispatch model (per-message NIC cost).
+    /// dispatch model (per-message NIC or syscall cost).
     pub async fn client(&self, index: usize) -> Arc<CurpClient> {
         let id = ServerId(100 + index as u64);
         // Clients are registered as (handler-less) servers only to give them
         // a dispatch cost; they never receive requests.
         self.net.add_server(
             id,
-            Arc::new(|_from: ServerId, _req| async move {
-                curp_proto::message::Response::Retry { reason: "client".into() }
-            }),
-            ServerSpec { dispatch_cost: vns(self.params.client_dispatch_ns) },
+            Arc::new(
+                |_from: ServerId, _req| async move { Response::Retry { reason: "client".into() } },
+            ),
+            ServerSpec { dispatch_cost: self.cal.client_dispatch },
         );
-        let cfg = ClientConfig {
-            record_witnesses: self.mode == Mode::Curp,
-            max_retries: 50,
-            retry_backoff: vus(50),
-            retry_backoff_max: vus(800),
-        };
         Arc::new(
-            CurpClient::connect(self.net.client(id), COORD, cfg).await.expect("client connect"),
+            CurpClient::connect(self.net.client(id), COORD, self.cal.client.clone())
+                .await
+                .expect("client connect"),
         )
     }
 
     /// Runs `clients` closed-loop clients for `duration` of virtual time,
-    /// each drawing operations from its own copy of `make_workload()`.
-    pub async fn run_closed_loop(
+    /// each drawing operations from its own `make_source(client_index)`.
+    pub async fn run_closed_loop<S: OpSource>(
         &self,
         clients: usize,
         duration: Duration,
-        make_workload: impl Fn(usize) -> Workload,
+        make_source: impl Fn(usize) -> S,
     ) -> RunResult {
         let mut handles = Vec::new();
         for c in 0..clients {
             let client = self.client(c).await;
-            let mut workload = make_workload(c);
-            let seed = self.params.seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut source = make_source(c);
+            let seed = self.cal.seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             handles.push(tokio::spawn(async move {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut writes = LatencyRecorder::new();
                 let mut reads = LatencyRecorder::new();
-                let deadline = tokio::time::Instant::now() + duration;
+                let deadline = Instant::now() + duration;
                 let mut ops = 0u64;
-                while tokio::time::Instant::now() < deadline {
-                    let op = workload.next_op(&mut rng);
-                    let t0 = tokio::time::Instant::now();
-                    match op {
-                        WorkloadOp::Update { key, value } => {
-                            client.update(Op::Put { key, value }).await.expect("update failed");
-                            writes.record_ns(to_virtual_ns(t0.elapsed()));
-                        }
-                        WorkloadOp::Read { key } => {
-                            client.read(Op::Get { key }).await.expect("read failed");
-                            reads.record_ns(to_virtual_ns(t0.elapsed()));
-                        }
-                    }
+                while Instant::now() < deadline {
+                    let op = source.draw(&mut rng);
+                    let rec = if op.is_read_only() { &mut reads } else { &mut writes };
+                    let t0 = Instant::now();
+                    issue(&client, op).await;
+                    rec.record_ns(to_virtual_ns(t0.elapsed()));
                     ops += 1;
                 }
                 (writes, reads, ops)
@@ -636,6 +772,29 @@ impl SimCluster {
         RunResult { writes, reads, throughput_ops_per_sec: total_ops as f64 / secs, ops: total_ops }
     }
 
+    /// Issues `samples` operations from `source` back to back from client 0
+    /// (one op in flight), its RNG seeded with the deployment seed ^ `salt`
+    /// (distinct salts give distinct streams). Returns every operation's
+    /// latency and the elapsed virtual time of the whole run.
+    pub async fn run_serial(
+        &self,
+        samples: usize,
+        salt: u64,
+        mut source: impl OpSource,
+    ) -> (LatencyRecorder, Duration) {
+        let client = self.client(0).await;
+        let mut rng = StdRng::seed_from_u64(self.cal.seed ^ salt);
+        let mut rec = LatencyRecorder::new();
+        let start = Instant::now();
+        for _ in 0..samples {
+            let op = source.draw(&mut rng);
+            let t0 = Instant::now();
+            issue(&client, op).await;
+            rec.record_ns(to_virtual_ns(t0.elapsed()));
+        }
+        (rec, start.elapsed())
+    }
+
     /// Creates a pipelined (windowed, batching) client over this cluster.
     pub async fn pipelined_client(
         &self,
@@ -649,17 +808,7 @@ impl SimCluster {
     /// and returns the elapsed **virtual** time — the serial baseline the
     /// pipelined path is measured against.
     pub async fn time_serial_updates(&self, ops: u64, keys: u64) -> Duration {
-        let client = self.client(0).await;
-        let mut workload = Workload::uniform_writes(keys);
-        let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0x5E51A1);
-        let t0 = tokio::time::Instant::now();
-        for _ in 0..ops {
-            let WorkloadOp::Update { key, value } = workload.next_op(&mut rng) else {
-                unreachable!("write-only workload")
-            };
-            client.update(Op::Put { key, value }).await.expect("serial update");
-        }
-        t0.elapsed()
+        self.run_serial(ops as usize, 0x5E51A1, Workload::uniform_writes(keys)).await.1
     }
 
     /// Issues the same uniform write stream through a pipelined client
@@ -673,7 +822,7 @@ impl SimCluster {
     ) -> Duration {
         let pipe = self.pipelined_client(0, pcfg).await;
         let mut workload = Workload::uniform_writes(keys);
-        let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0x5E51A1);
+        let mut rng = StdRng::seed_from_u64(self.cal.seed ^ 0x5E51A1);
         let t0 = tokio::time::Instant::now();
         let mut completions = Vec::with_capacity(ops as usize);
         for _ in 0..ops {
@@ -722,7 +871,7 @@ impl SimCluster {
         salt: u64,
     ) -> OpenLoopReport {
         let pipe = Arc::clone(pipe);
-        let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0x09E7 ^ salt);
+        let mut rng = StdRng::seed_from_u64(self.cal.seed ^ 0x09E7 ^ salt);
         let cfg = OpenLoopConfig { interval: vns(interval_vns), ops };
         let mut report = run_open_loop(&mut workload, &mut rng, cfg, move |op| {
             let pipe = Arc::clone(&pipe);
@@ -750,22 +899,7 @@ impl SimCluster {
     /// Measures sequential write latency from a single client (Figure 5):
     /// `samples` back-to-back 100 B writes to random keys.
     pub async fn measure_write_latency(&self, samples: usize, keys: u64) -> LatencyRecorder {
-        let client = self.client(0).await;
-        let mut workload = Workload::uniform_writes(keys);
-        let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0xFEED);
-        let mut rec = LatencyRecorder::new();
-        for _ in 0..samples {
-            let op = loop {
-                match workload.next_op(&mut rng) {
-                    WorkloadOp::Update { key, value } => break Op::Put { key, value },
-                    WorkloadOp::Read { .. } => continue,
-                }
-            };
-            let t0 = tokio::time::Instant::now();
-            client.update(op).await.expect("write failed");
-            rec.record_ns(to_virtual_ns(t0.elapsed()));
-        }
-        rec
+        self.run_serial(samples, 0xFEED, Workload::uniform_writes(keys)).await.0
     }
 }
 

@@ -50,9 +50,9 @@ use curp_proto::types::ServerId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cluster::{Mode, RamcloudParams, SimCluster};
+use crate::cluster::{Mode, RamcloudParams, SimCluster, Topology};
 use crate::lincheck::{failing_keys_detailed, HistOp, HistoryEvent};
-use crate::nemesis::{draw_schedule, Episode, ScheduleLog, Topology};
+use crate::nemesis::{draw_schedule, Episode, ScheduleLog};
 use crate::time::{run_sim, vns};
 use crate::TempDir;
 
@@ -198,21 +198,30 @@ pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
     run_sim(async move { chaos_run(cfg).await })
 }
 
-/// The world a seed draws before any episode runs: cluster shape plus the
-/// full episode schedule. Splitting this out keeps
+/// The world a seed draws before any episode runs: cluster shape and
+/// calibration plus the full episode schedule. Splitting this out keeps
 /// [`drawn_episode_count`] and [`chaos_run`] byte-identical.
-fn draw_world(seed: u64) -> (usize, bool, Topology, Vec<Episode>) {
+fn draw_world(seed: u64) -> (usize, RamcloudParams, Vec<Episode>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let partitions = rng.gen_range(1..=2usize);
-    let separate_witnesses = rng.gen_bool(0.5);
-    let topo = Topology::of(partitions, 3, separate_witnesses);
+    let mut params = RamcloudParams::new(3);
+    params.seed = seed;
+    params.batch_size = 5; // frequent syncs: AOFs and journals both carry state
+    params.sync_interval_ns = 30_000;
+    params.separate_witnesses = rng.gen_bool(0.5);
+    // Two spares: a successful SplitMigration consumes one permanently
+    // (the spare becomes a master), and a later MasterChurn still needs a
+    // recovery target. Churn itself is spare-neutral — the deposed host
+    // rejoins the pool.
+    params.spares = 2;
+    let topo = Topology::ramcloud(Mode::Curp, &params, partitions);
     let episodes = draw_schedule(&mut rng, &topo);
-    (partitions, separate_witnesses, topo, episodes)
+    (partitions, params, episodes)
 }
 
 /// How many episodes a seed draws — the starting mask for the shrinker.
 pub fn drawn_episode_count(seed: u64) -> usize {
-    draw_world(seed).3.len()
+    draw_world(seed).2.len()
 }
 
 /// Polls a set of non-`Send` futures to completion on the current task.
@@ -256,7 +265,7 @@ impl<'a, T: Unpin> Future for JoinLocal<'a, T> {
 }
 
 async fn chaos_run(cfg: ChaosConfig) -> ChaosReport {
-    let (partitions, separate_witnesses, topo, all_episodes) = draw_world(cfg.seed);
+    let (partitions, mut params, all_episodes) = draw_world(cfg.seed);
     let n_episodes = all_episodes.len();
     // Durability and topology come from the *full* drawn schedule, never
     // the mask: a shrunk subset must run on the identical cluster.
@@ -271,17 +280,7 @@ async fn chaos_run(cfg: ChaosConfig) -> ChaosReport {
     let names: Vec<&'static str> =
         structural_eps.iter().chain(overlay_eps.iter()).map(|e| e.nemesis.name()).collect();
 
-    let mut params = RamcloudParams::new(3);
-    params.seed = cfg.seed;
-    params.batch_size = 5; // frequent syncs: AOFs and journals both carry state
-    params.sync_interval_ns = 30_000;
-    params.separate_witnesses = separate_witnesses;
-    // Two spares: a successful SplitMigration consumes one permanently
-    // (the spare becomes a master), and a later MasterChurn still needs a
-    // recovery target. Churn itself is spare-neutral — the deposed host
-    // rejoins the pool.
-    params.spares = 2;
-
+    let separate_witnesses = params.separate_witnesses;
     // The scratch directory exists only for durable or tiered runs and its
     // path never enters the schedule log (it would break cross-process
     // replay hashes).
@@ -354,7 +353,7 @@ async fn chaos_run(cfg: ChaosConfig) -> ChaosReport {
     // the (layout-constant) replica pool and a shared schedule log.
     let net_handle = cluster.net.clone();
     let coord_handle = Arc::clone(&cluster.coord);
-    let pool = topo.replica_pool();
+    let pool = cluster.topology().replica_pool();
     let overlay_log = log.clone();
 
     // The structural stream: strictly sequential, with the drawn gap slept

@@ -10,12 +10,15 @@
 //! which costs nothing in wall-clock terms.
 //!
 //! * [`time`] — the virtual-time helpers and the simulation runtime;
-//! * [`cluster`] — the RAMCloud-class cluster model (Figures 5–7, 12) with
-//!   the four systems compared in the paper: Original (synchronous
+//! * [`cluster`] — [`SimCluster`], the one simulated deployment: its
+//!   server layout ([`Topology`]), the shared build, client and measurement
+//!   loops, and the RAMCloud-class calibration (Figures 5–7, 12) with the
+//!   four systems compared in the paper: Original (synchronous
 //!   replication), Async (unsafe asynchronous replication), CURP, and
 //!   Unreplicated;
-//! * [`redis`] — the Redis-class model (Figures 8–10, 13): TCP-grade
-//!   latency with syscall costs, an fsync-priced append-only "backup", and
+//! * [`redis`] — the Redis-class calibration of the same [`SimCluster`]
+//!   ([`SimCluster::build_redis`], Figures 8–10, 13): TCP-grade latency
+//!   with syscall costs, an fsync-priced local append-only "backup", and
 //!   event-loop fsync batching;
 //! * [`lincheck`] — a Wing–Gong linearizability checker used by the
 //!   property tests to validate histories with injected crashes;
@@ -39,7 +42,7 @@ pub mod time;
 // power-loss nemesis, its tests and examples — are driven from this crate.
 pub use curp_storage::tempdir;
 
-pub use cluster::{Mode, RamcloudParams, RunResult, SimCluster};
+pub use cluster::{Mode, OpSource, RamcloudParams, RunResult, SimCluster, Topology};
 pub use curp_storage::TempDir;
 pub use fleet::{
     drawn_episode_count, repro_line, repro_line_episodes, run_chaos, run_chaos_seed, shrink,
@@ -50,7 +53,6 @@ pub use lincheck::{
 };
 pub use nemesis::{
     draw_nemesis, draw_overlay, draw_schedule, Episode, Nemesis, ScheduleEvent, ScheduleLog,
-    Topology,
 };
-pub use redis::{RedisMode, RedisParams, RedisSim};
+pub use redis::{RedisCommand, RedisMode, RedisOps};
 pub use time::{run_sim, to_virtual_ns, to_virtual_us, vns, vus};

@@ -55,7 +55,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
 
-use crate::cluster::SimCluster;
+use crate::cluster::{SimCluster, Topology};
 use crate::time::{to_virtual_ns, vns};
 
 /// The future a nemesis episode runs as. Local (non-`Send`): the whole
@@ -77,11 +77,19 @@ pub trait Nemesis {
     /// Runs the episode to completion: inject, hold, heal. Implementations
     /// must leave the cluster in a servable state (all faults cleared, all
     /// crashed servers restarted) unless they return `Err`.
+    ///
+    /// The default serves overlays: it snapshots the live masters and the
+    /// cluster's replica pool and runs [`run_overlay`](Self::run_overlay).
+    /// Structural nemeses override it.
     fn run<'a>(
         &'a self,
         cluster: &'a mut SimCluster,
         log: &'a mut ScheduleLog,
-    ) -> NemesisFuture<'a>;
+    ) -> NemesisFuture<'a> {
+        let masters = cluster.master_servers();
+        let pool = cluster.topology().replica_pool();
+        self.run_overlay(&cluster.net, masters, pool, log)
+    }
 
     /// Whether this episode touches only network links — never server
     /// processes, disks, or the partition map. Overlay episodes may run
@@ -214,76 +222,6 @@ impl fmt::Display for ScheduleLog {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Topology
-// ---------------------------------------------------------------------------
-
-/// The static server layout of a [`SimCluster`], computable *before* the
-/// cluster exists — [`draw_nemesis`] sizes its victim draws from this, so
-/// the drawn schedule depends only on the seed and the drawn topology.
-///
-/// Mirrors `SimCluster::build_inner`: masters on `s1..=p`, backups on the
-/// next `f` servers, witnesses co-hosted with them (or on their own `f`
-/// servers under `separate_witnesses`), one spare last. Only *masters*
-/// ever move at runtime (recovery onto the spare), so the backup and
-/// witness blocks stay accurate for the lifetime of the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Topology {
-    /// Number of key-range partitions (= initial masters).
-    pub partitions: usize,
-    /// Replication / witness factor.
-    pub f: usize,
-    /// Witnesses hosted on their own servers instead of on the backups.
-    pub separate_witnesses: bool,
-}
-
-impl Topology {
-    /// Describes a CURP-mode cluster's layout.
-    pub fn of(partitions: usize, f: usize, separate_witnesses: bool) -> Topology {
-        Topology { partitions, f, separate_witnesses }
-    }
-
-    /// The backup servers.
-    pub fn backups(&self) -> Vec<ServerId> {
-        (self.partitions + 1..=self.partitions + self.f).map(|i| ServerId(i as u64)).collect()
-    }
-
-    /// The witness servers (the backups, unless separate).
-    pub fn witnesses(&self) -> Vec<ServerId> {
-        if self.separate_witnesses {
-            (self.partitions + self.f + 1..=self.partitions + 2 * self.f)
-                .map(|i| ServerId(i as u64))
-                .collect()
-        } else {
-            self.backups()
-        }
-    }
-
-    /// Backups ∪ witnesses: every server a non-master nemesis may pick on.
-    pub fn replica_pool(&self) -> Vec<ServerId> {
-        let mut pool = self.backups();
-        for w in self.witnesses() {
-            if !pool.contains(&w) {
-                pool.push(w);
-            }
-        }
-        pool
-    }
-}
-
-/// Backups ∪ witnesses of a *live* cluster, in stable (ascending) order.
-/// Identical to [`Topology::replica_pool`] for the matching layout — the
-/// live form exists so a nemesis never has to trust a stale topology.
-fn replica_pool(cluster: &SimCluster) -> Vec<ServerId> {
-    let mut pool = cluster.backup_servers();
-    for w in cluster.witness_servers() {
-        if !pool.contains(&w) {
-            pool.push(w);
-        }
-    }
-    pool
-}
-
 fn pick(pool: &[ServerId], index: usize) -> Result<ServerId, String> {
     if pool.is_empty() {
         return Err("no servers to pick a victim from".into());
@@ -308,16 +246,6 @@ pub struct SymmetricPartition {
 impl Nemesis for SymmetricPartition {
     fn name(&self) -> &'static str {
         "symmetric-partition"
-    }
-
-    fn run<'a>(
-        &'a self,
-        cluster: &'a mut SimCluster,
-        log: &'a mut ScheduleLog,
-    ) -> NemesisFuture<'a> {
-        let masters = cluster.master_servers();
-        let pool = replica_pool(cluster);
-        self.run_overlay(&cluster.net, masters, pool, log)
     }
 
     fn is_overlay(&self) -> bool {
@@ -365,16 +293,6 @@ impl Nemesis for AsymmetricPartition {
         "asymmetric-partition"
     }
 
-    fn run<'a>(
-        &'a self,
-        cluster: &'a mut SimCluster,
-        log: &'a mut ScheduleLog,
-    ) -> NemesisFuture<'a> {
-        let masters = cluster.master_servers();
-        let pool = replica_pool(cluster);
-        self.run_overlay(&cluster.net, masters, pool, log)
-    }
-
     fn is_overlay(&self) -> bool {
         true
     }
@@ -420,16 +338,6 @@ pub struct PacketDrop {
 impl Nemesis for PacketDrop {
     fn name(&self) -> &'static str {
         "packet-drop"
-    }
-
-    fn run<'a>(
-        &'a self,
-        cluster: &'a mut SimCluster,
-        log: &'a mut ScheduleLog,
-    ) -> NemesisFuture<'a> {
-        let masters = cluster.master_servers();
-        let pool = replica_pool(cluster);
-        self.run_overlay(&cluster.net, masters, pool, log)
     }
 
     fn is_overlay(&self) -> bool {
@@ -483,16 +391,6 @@ impl Nemesis for PacketDelay {
         "packet-delay"
     }
 
-    fn run<'a>(
-        &'a self,
-        cluster: &'a mut SimCluster,
-        log: &'a mut ScheduleLog,
-    ) -> NemesisFuture<'a> {
-        let masters = cluster.master_servers();
-        let pool = replica_pool(cluster);
-        self.run_overlay(&cluster.net, masters, pool, log)
-    }
-
     fn is_overlay(&self) -> bool {
         true
     }
@@ -541,16 +439,6 @@ pub struct PacketDup {
 impl Nemesis for PacketDup {
     fn name(&self) -> &'static str {
         "packet-dup"
-    }
-
-    fn run<'a>(
-        &'a self,
-        cluster: &'a mut SimCluster,
-        log: &'a mut ScheduleLog,
-    ) -> NemesisFuture<'a> {
-        let masters = cluster.master_servers();
-        let pool = replica_pool(cluster);
-        self.run_overlay(&cluster.net, masters, pool, log)
     }
 
     fn is_overlay(&self) -> bool {
@@ -605,7 +493,7 @@ impl Nemesis for CrashRestart {
         log: &'a mut ScheduleLog,
     ) -> NemesisFuture<'a> {
         Box::pin(async move {
-            let victim = pick(&replica_pool(cluster), self.victim)?;
+            let victim = pick(&cluster.topology().replica_pool(), self.victim)?;
             cluster.crash_server(victim);
             log.record(self.name(), format!("crash s{}", victim.0));
             tokio::time::sleep(vns(self.hold_ns)).await;
@@ -1117,14 +1005,16 @@ pub fn draw_nemesis(rng: &mut StdRng, topo: &Topology) -> Box<dyn Nemesis> {
         }),
         4 => Box::new(PacketDup { dup_rate: rng.gen_range(0.5..1.0), seed: rng.gen(), hold_ns }),
         5 => Box::new(CrashRestart { victim: rng.gen_range(0..pool), hold_ns }),
-        6 => Box::new(WitnessLoss { victim: rng.gen_range(0..topo.f.max(1)), hold_ns }),
-        7 => Box::new(MasterChurn { partition: rng.gen_range(0..topo.partitions.max(1)) }),
+        6 => {
+            Box::new(WitnessLoss { victim: rng.gen_range(0..topo.witnesses.len().max(1)), hold_ns })
+        }
+        7 => Box::new(MasterChurn { partition: rng.gen_range(0..topo.masters.len().max(1)) }),
         8 => Box::new(SplitMigration {
-            partition: rng.gen_range(0..topo.partitions.max(1)),
+            partition: rng.gen_range(0..topo.masters.len().max(1)),
             frac_1024: rng.gen_range(64..=960),
         }),
         _ => Box::new(CoordinatorCrash {
-            partition: rng.gen_range(0..topo.partitions.max(1)),
+            partition: rng.gen_range(0..topo.masters.len().max(1)),
             recover: rng.gen_bool(0.6),
             kill_after_ns: rng.gen_range(10_000..=300_000),
             then_power_loss: rng.gen_bool(0.25),
@@ -1530,7 +1420,7 @@ mod tests {
             let overlay = PacketDrop { victim: 1, drop_rate: 0.2, seed: 9, hold_ns: 400_000 };
             let net = cluster.net.clone();
             let masters = cluster.master_servers();
-            let pool = replica_pool(&cluster);
+            let pool = cluster.topology().replica_pool();
             // The overlay holds its faults across the whole churn: the heal
             // barrier only exists at the end of the schedule.
             let overlay_fut = overlay.run_overlay(&net, masters, pool, &overlay_log);
@@ -1553,7 +1443,9 @@ mod tests {
 
     #[test]
     fn drawn_schedule_is_a_pure_function_of_the_seed() {
-        let topo = Topology::of(2, 3, true);
+        let mut params = RamcloudParams::new(3);
+        params.separate_witnesses = true;
+        let topo = Topology::ramcloud(Mode::Curp, &params, 2);
         let draw_names = |seed: u64| -> Vec<&'static str> {
             let mut rng = StdRng::seed_from_u64(seed);
             (0..32).map(|_| draw_nemesis(&mut rng, &topo).name()).collect()
@@ -1611,23 +1503,31 @@ mod tests {
 
     #[test]
     fn topology_mirrors_the_cluster_layout() {
-        run_sim(async {
-            // Co-hosted: witnesses are the backups.
-            let cluster = SimCluster::build(Mode::Curp, RamcloudParams::new(3)).await;
-            let topo = Topology::of(1, 3, false);
-            assert_eq!(topo.backups(), cluster.backup_servers());
-            assert_eq!(topo.witnesses(), cluster.witness_servers());
+        let ids = |r: std::ops::RangeInclusive<u64>| r.map(ServerId).collect::<Vec<_>>();
+        run_sim(async move {
+            // Co-hosted: witnesses are the backups, one spare after them.
+            let params = RamcloudParams::new(3);
+            let topo = Topology::ramcloud(Mode::Curp, &params, 1);
+            let cluster = SimCluster::build(Mode::Curp, params).await;
+            assert_eq!(*cluster.topology(), topo);
+            assert_eq!(cluster.backup_servers(), ids(2..=4));
+            assert_eq!(cluster.witness_servers(), ids(2..=4));
             assert_eq!(topo.replica_pool().len(), 3);
+            assert_eq!(cluster.spare_server(), Some(ServerId(5)));
         });
-        run_sim(async {
+        run_sim(async move {
             // Separate: a second block of f witness hosts.
             let mut params = RamcloudParams::new(3);
             params.separate_witnesses = true;
+            let topo = Topology::ramcloud(Mode::Curp, &params, 2);
             let cluster = SimCluster::build_partitioned(Mode::Curp, params, 2).await;
-            let topo = Topology::of(2, 3, true);
-            assert_eq!(topo.backups(), cluster.backup_servers());
-            assert_eq!(topo.witnesses(), cluster.witness_servers());
+            assert_eq!(*cluster.topology(), topo);
+            assert_eq!(cluster.master_servers(), ids(1..=2));
+            assert_eq!(cluster.backup_servers(), ids(3..=5));
+            assert_eq!(cluster.witness_servers(), ids(6..=8));
             assert_eq!(topo.replica_pool().len(), 6);
+            let servers: Vec<ServerId> = cluster.servers.iter().map(|s| s.id()).collect();
+            assert_eq!(servers, ids(1..=9));
         });
     }
 }

@@ -1,4 +1,4 @@
-//! The Redis-class simulated deployment (Figures 8, 9, 10 and 13).
+//! The Redis-class calibration of [`SimCluster`] (Figures 8, 9, 10 and 13).
 //!
 //! §5.4 of the paper: Redis achieves durability by logging client requests
 //! to an append-only file and fsyncing before responding; CURP hides that
@@ -15,31 +15,29 @@
 //!
 //! The append-only file is modeled as a *local* backup (zero network
 //! latency) whose sync handler sleeps for the fsync duration. "Original
-//! Redis (durable)" is the master in `sync_every_op` mode against that
-//! backup; "CURP (k witnesses)" keeps the backup asynchronous and adds
-//! witness servers.
+//! Redis (durable)" is the master in [`SyncMode::GroupCommit`] against
+//! that backup; "CURP (k witnesses)" keeps the backup asynchronous and
+//! adds witness servers.
+//!
+//! Every command costs the same execution time (`EXEC_NS`), so Figure
+//! 10's SET, HMSET and INCR medians come out identical: the figure checks
+//! protocol latency, not per-command execution cost.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use curp_core::client::{ClientConfig, CurpClient};
-use curp_core::coordinator::{Coordinator, CoordinatorHandler};
-use curp_core::master::MasterConfig;
-use curp_core::server::{CurpServer, ServerHandler};
-use curp_proto::cluster::HashRange;
-use curp_proto::message::{Request, Response};
+use bytes::Bytes;
+use curp_core::client::ClientConfig;
+use curp_core::master::{MasterConfig, SyncMode};
 use curp_proto::op::Op;
 use curp_proto::types::ServerId;
-use curp_transport::latency::{Fixed, NetProfile};
-use curp_transport::mem::{MemNetwork, ServerSpec};
-use curp_transport::rpc::{BoxFuture, RpcHandler};
-use curp_witness::cache::CacheConfig;
-use curp_workload::LatencyRecorder;
+use curp_storage::StoreConfig;
+use curp_transport::latency::NetProfile;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use crate::cluster::RunResult;
-use crate::time::{to_virtual_ns, vns, vus, MODEL_SCALE};
+use crate::cluster::{Calibration, OpSource, SimCluster, Topology};
+use crate::time::{vns, vus, MODEL_SCALE};
 
 /// Which Redis configuration of Figure 8 to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,258 +54,85 @@ pub enum RedisMode {
     },
 }
 
-/// Model constants (virtual nanoseconds).
-#[derive(Debug, Clone)]
-pub struct RedisParams {
-    /// Client syscall cost per message (~2.5 µs, §5.4).
-    pub client_syscall_ns: u64,
-    /// Server event-loop cost per message.
-    pub server_dispatch_ns: u64,
-    /// Command execution cost.
-    pub exec_ns: u64,
-    /// fsync on the NVMe AOF (50–100 µs, §5.4).
-    pub fsync_ns: u64,
-    /// Witness-server dispatch cost per message.
-    pub witness_dispatch_ns: u64,
-    /// Background AOF flush interval for the CURP modes.
-    pub sync_interval_ns: u64,
-    /// RNG seed.
-    pub seed: u64,
-}
+// The §5.4 model constants, in virtual nanoseconds.
 
-impl Default for RedisParams {
-    fn default() -> Self {
-        RedisParams {
-            client_syscall_ns: 2_500,
-            server_dispatch_ns: 1_200,
-            exec_ns: 1_500,
-            fsync_ns: 60_000,
-            witness_dispatch_ns: 1_200,
-            sync_interval_ns: 200_000, // 200 µs background AOF flush
-            seed: 0x5EED_CAFE,
-        }
+/// Client syscall cost per message (~2.5 µs, §5.4).
+const CLIENT_SYSCALL_NS: u64 = 2_500;
+/// Redis event-loop cost per message on the server.
+const SERVER_DISPATCH_NS: u64 = 1_200;
+/// Event-loop cost per message on a witness server (a separate Redis
+/// server, §5.4).
+const WITNESS_DISPATCH_NS: u64 = 1_200;
+/// Command execution cost, one price for every command.
+const EXEC_NS: u64 = 1_500;
+/// fsync on the NVMe append-only file (50–100 µs, §5.4).
+const FSYNC_NS: u64 = 60_000;
+/// Background AOF flush interval of the CURP modes.
+const SYNC_INTERVAL_NS: u64 = 200_000;
+/// Seed of the network model and the client loops.
+const SEED: u64 = 0x5EED_CAFE;
+
+/// The Redis layout: the server on s1, the append-only file on s2 (every
+/// durable mode), witness servers from s10. Clients take s100 onwards as
+/// in every [`SimCluster`]. The ids are part of the calibration: the
+/// network seeds each link's RNG from its two endpoints.
+fn redis_topology(mode: RedisMode) -> Topology {
+    let witnesses = match mode {
+        RedisMode::Curp { witnesses } => witnesses,
+        _ => 0,
+    };
+    Topology {
+        masters: vec![ServerId(1)],
+        backups: if mode == RedisMode::NonDurable { Vec::new() } else { vec![ServerId(2)] },
+        witnesses: (10..10 + witnesses as u64).map(ServerId).collect(),
+        spares: Vec::new(),
     }
 }
 
-const COORD: ServerId = ServerId(9_999);
-const MASTER: ServerId = ServerId(1);
-const AOF: ServerId = ServerId(2);
-
-/// Wraps the AOF backup so every sync batch pays one fsync.
-struct AofHandler {
-    inner: ServerHandler,
-    fsync: Duration,
-}
-
-impl RpcHandler for AofHandler {
-    fn handle(&self, from: ServerId, req: Request) -> BoxFuture<'static, Response> {
-        let fut = self.inner.handle(from, req.clone());
-        let fsync = self.fsync;
-        let is_sync = matches!(req, Request::BackupSync { .. });
-        Box::pin(async move {
-            if is_sync {
-                // One fsync per replicated batch, regardless of batch size —
-                // this is what amortizes the cost under load (§C.2).
-                tokio::time::sleep(fsync).await;
-            }
-            fut.await
-        })
-    }
-}
-
-/// A simulated single-node Redis deployment (plus witnesses under CURP).
-pub struct RedisSim {
-    /// The network (fault injection in tests).
-    pub net: MemNetwork,
-    mode: RedisMode,
-    params: RedisParams,
-}
-
-impl RedisSim {
-    /// Builds the deployment.
-    pub async fn build(mode: RedisMode, params: RedisParams) -> RedisSim {
-        let net = MemNetwork::new(params.seed);
-        net.set_default_latency(Arc::new(NetProfile::TcpDatacenter.model().scaled(MODEL_SCALE)));
-        net.set_rpc_timeout(vus(50_000));
-
-        let witnesses_n = match mode {
-            RedisMode::Curp { witnesses } => witnesses,
-            _ => 0,
+impl SimCluster {
+    /// Builds the single-node Redis deployment of Figures 8–10 and 13
+    /// (plus witnesses under CURP).
+    pub async fn build_redis(mode: RedisMode) -> SimCluster {
+        let durable = mode == RedisMode::Durable;
+        let cal = Calibration {
+            latency: Arc::new(NetProfile::TcpDatacenter.model().scaled(MODEL_SCALE)),
+            rpc_timeout: vus(50_000),
+            seed: SEED,
+            master_dispatch: vns(SERVER_DISPATCH_NS),
+            // The append-only file is a local disk, not a server.
+            backup_dispatch: Duration::ZERO,
+            witness_dispatch: vns(WITNESS_DISPATCH_NS),
+            client_dispatch: vns(CLIENT_SYSCALL_NS),
+            local_aof_fsync: Some(vns(FSYNC_NS)),
+            master: MasterConfig {
+                batch_size: 64,
+                sync_interval: vns(SYNC_INTERVAL_NS),
+                exec_cost: vns(EXEC_NS),
+                hotkey_sync: false,
+                hotkey_window: 64,
+                sync_retry_limit: 10,
+                sync_retry_backoff: vus(100),
+                // One event-loop iteration's worth of request gathering
+                // before the shared fsync (§C.2), amortizing it across
+                // ready clients.
+                sync_mode: if durable {
+                    SyncMode::GroupCommit { coalesce: vus(25) }
+                } else {
+                    SyncMode::Speculative
+                },
+                // Redis is single-threaded: one shard reproduces its
+                // serialized command loop faithfully in the model.
+                store: StoreConfig::memory(1),
+            },
+            client: ClientConfig {
+                record_witnesses: matches!(mode, RedisMode::Curp { .. }),
+                max_retries: 50,
+                retry_backoff: vus(500),
+                retry_backoff_max: vus(8_000),
+            },
+            tiered: None,
         };
-        let durable = mode != RedisMode::NonDurable;
-
-        let master_cfg = MasterConfig {
-            batch_size: 64,
-            sync_interval: vns(params.sync_interval_ns),
-            exec_cost: vns(params.exec_ns),
-            hotkey_sync: false,
-            hotkey_window: 64,
-            sync_retry_limit: 10,
-            sync_retry_backoff: vus(100),
-            sync_every_op: mode == RedisMode::Durable,
-            // One event-loop iteration's worth of request gathering before
-            // the shared fsync (§C.2), amortizing it across ready clients.
-            sync_coalesce: if mode == RedisMode::Durable { vus(25) } else { Duration::ZERO },
-            sync_workers: 1, // Redis is single-threaded
-            sync_group_commit: true,
-            // Redis is single-threaded: one shard reproduces its serialized
-            // command loop faithfully in the model.
-            store: curp_storage::StoreConfig::memory(1),
-        };
-        let net_for_factory = net.clone();
-        let coord = Coordinator::new(
-            Box::new(move |id| net_for_factory.client(id)),
-            master_cfg,
-            u64::MAX / 4,
-        );
-        net.add_simple_server(COORD, Arc::new(CoordinatorHandler(Arc::clone(&coord))));
-
-        // Redis server.
-        let master_srv = CurpServer::new(MASTER, CacheConfig::default());
-        net.add_server(
-            MASTER,
-            Arc::new(ServerHandler(Arc::clone(&master_srv))),
-            ServerSpec { dispatch_cost: vns(params.server_dispatch_ns) },
-        );
-        coord.register_server(Arc::clone(&master_srv));
-
-        // The AOF "backup": local (no network) and priced per fsync. Present
-        // in every durable mode; the non-durable mode runs unreplicated.
-        let mut backups = Vec::new();
-        if durable {
-            let aof_srv = CurpServer::new(AOF, CacheConfig::default());
-            net.add_server(
-                AOF,
-                Arc::new(AofHandler {
-                    inner: ServerHandler(Arc::clone(&aof_srv)),
-                    fsync: vns(params.fsync_ns),
-                }),
-                ServerSpec { dispatch_cost: Duration::ZERO },
-            );
-            coord.register_server(Arc::clone(&aof_srv));
-            // Local disk: zero network latency both ways.
-            net.set_link_latency(MASTER, AOF, Arc::new(Fixed(Duration::ZERO)));
-            net.set_link_latency(AOF, MASTER, Arc::new(Fixed(Duration::ZERO)));
-            backups.push(AOF);
-        }
-
-        // Witness servers (separate Redis servers, §5.4).
-        let mut witness_ids = Vec::new();
-        for i in 0..witnesses_n {
-            let id = ServerId(10 + i as u64);
-            let w = CurpServer::new(id, CacheConfig::default());
-            net.add_server(
-                id,
-                Arc::new(ServerHandler(Arc::clone(&w))),
-                ServerSpec { dispatch_cost: vns(params.witness_dispatch_ns) },
-            );
-            coord.register_server(Arc::clone(&w));
-            witness_ids.push(id);
-        }
-
-        coord
-            .create_partition(MASTER, backups, witness_ids, HashRange::FULL)
-            .await
-            .expect("create redis partition");
-        RedisSim { net, mode, params }
-    }
-
-    /// Creates a client with the TCP syscall cost model.
-    pub async fn client(&self, index: usize) -> Arc<CurpClient> {
-        let id = ServerId(100 + index as u64);
-        self.net.add_server(
-            id,
-            Arc::new(|_f: ServerId, _r: Request| async move {
-                Response::Retry { reason: "client".into() }
-            }),
-            ServerSpec { dispatch_cost: vns(self.params.client_syscall_ns) },
-        );
-        let cfg = ClientConfig {
-            record_witnesses: matches!(self.mode, RedisMode::Curp { .. }),
-            max_retries: 50,
-            retry_backoff: vus(500),
-            retry_backoff_max: vus(8_000),
-        };
-        Arc::new(CurpClient::connect(self.net.client(id), COORD, cfg).await.expect("connect"))
-    }
-
-    /// Sequential SET latency from one client (Figure 8): `samples` writes of
-    /// `value_size` bytes to random keys drawn from `keys`.
-    pub async fn measure_set_latency(
-        &self,
-        samples: usize,
-        keys: u64,
-        key_len: usize,
-        value_size: usize,
-    ) -> LatencyRecorder {
-        let client = self.client(0).await;
-        let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0xABCD);
-        let mut rec = LatencyRecorder::new();
-        for _ in 0..samples {
-            let op = random_op(&mut rng, RedisCommand::Set, keys, key_len, value_size);
-            let t0 = tokio::time::Instant::now();
-            client.update(op).await.expect("set failed");
-            rec.record_ns(to_virtual_ns(t0.elapsed()));
-        }
-        rec
-    }
-
-    /// Sequential latency for an arbitrary Redis command (Figure 10).
-    pub async fn measure_command_latency(
-        &self,
-        command: RedisCommand,
-        samples: usize,
-        keys: u64,
-        key_len: usize,
-        value_size: usize,
-    ) -> LatencyRecorder {
-        let client = self.client(0).await;
-        let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0x1234);
-        let mut rec = LatencyRecorder::new();
-        for _ in 0..samples {
-            let op = random_op(&mut rng, command, keys, key_len, value_size);
-            let t0 = tokio::time::Instant::now();
-            client.update(op).await.expect("command failed");
-            rec.record_ns(to_virtual_ns(t0.elapsed()));
-        }
-        rec
-    }
-
-    /// Closed-loop SET throughput with `clients` clients (Figures 9/13).
-    pub async fn run_closed_loop(&self, clients: usize, duration: Duration) -> RunResult {
-        let mut handles = Vec::new();
-        for c in 0..clients {
-            let client = self.client(c).await;
-            let seed = self.params.seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            handles.push(tokio::spawn(async move {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut rec = LatencyRecorder::new();
-                let deadline = tokio::time::Instant::now() + duration;
-                let mut ops = 0u64;
-                while tokio::time::Instant::now() < deadline {
-                    let op = random_op(&mut rng, RedisCommand::Set, 2_000_000, 30, 100);
-                    let t0 = tokio::time::Instant::now();
-                    client.update(op).await.expect("set failed");
-                    rec.record_ns(to_virtual_ns(t0.elapsed()));
-                    ops += 1;
-                }
-                (rec, ops)
-            }));
-        }
-        let mut writes = LatencyRecorder::new();
-        let mut total = 0;
-        for h in handles {
-            let (rec, ops) = h.await.expect("client task");
-            writes.merge(&rec);
-            total += ops;
-        }
-        let secs = to_virtual_ns(duration) as f64 / 1e9;
-        RunResult {
-            writes,
-            reads: LatencyRecorder::new(),
-            throughput_ops_per_sec: total as f64 / secs,
-            ops: total,
-        }
+        SimCluster::assemble(cal, redis_topology(mode), None).await
     }
 }
 
@@ -322,33 +147,37 @@ pub enum RedisCommand {
     Incr,
 }
 
-fn random_op(
-    rng: &mut StdRng,
-    command: RedisCommand,
-    keys: u64,
-    key_len: usize,
-    value_size: usize,
-) -> Op {
-    // "a random 30B key over 2M unique keys" (Figure 10): random index,
-    // zero-padded into a fixed-width key.
-    let idx = rng.gen_range(0..keys);
-    let key = bytes::Bytes::from(format!("{idx:0width$}", width = key_len));
-    match command {
-        RedisCommand::Set => {
-            let mut value = vec![0u8; value_size];
+/// Key width: "a random 30B key" (Figure 10), the index zero-padded.
+const KEY_LEN: usize = 30;
+/// SET and HMSET value size: 100 B (Figures 8–10).
+const VALUE_SIZE: usize = 100;
+
+/// A stream of one Redis command on random 30 B keys drawn from `keys`
+/// distinct ones (Figure 10: "a random 30B key over 2M unique keys").
+#[derive(Debug, Clone)]
+pub struct RedisOps {
+    /// The command every operation issues.
+    pub command: RedisCommand,
+    /// Number of distinct keys drawn from.
+    pub keys: u64,
+}
+
+impl OpSource for RedisOps {
+    fn draw(&mut self, rng: &mut StdRng) -> Op {
+        let idx = rng.gen_range(0..self.keys);
+        let key = Bytes::from(format!("{idx:0KEY_LEN$}"));
+        let mut random_value = || {
+            let mut value = vec![0u8; VALUE_SIZE];
             rng.fill(&mut value[..]);
-            Op::Put { key, value: bytes::Bytes::from(value) }
-        }
-        RedisCommand::Hmset => {
-            let mut value = vec![0u8; value_size];
-            rng.fill(&mut value[..]);
-            Op::HSet {
-                key,
-                field: bytes::Bytes::from_static(b"f"),
-                value: bytes::Bytes::from(value),
+            Bytes::from(value)
+        };
+        match self.command {
+            RedisCommand::Set => Op::Put { key, value: random_value() },
+            RedisCommand::Hmset => {
+                Op::HSet { key, field: Bytes::from_static(b"f"), value: random_value() }
             }
+            RedisCommand::Incr => Op::Incr { key, delta: 1 },
         }
-        RedisCommand::Incr => Op::Incr { key, delta: 1 },
     }
 }
 
@@ -356,11 +185,16 @@ fn random_op(
 mod tests {
     use super::*;
     use crate::time::run_sim;
+    use std::sync::atomic::Ordering;
+
+    fn sets(keys: u64) -> RedisOps {
+        RedisOps { command: RedisCommand::Set, keys }
+    }
 
     fn median_set_us(mode: RedisMode) -> f64 {
         run_sim(async move {
-            let sim = RedisSim::build(mode, RedisParams::default()).await;
-            let mut rec = sim.measure_set_latency(200, 100_000, 30, 100).await;
+            let cluster = SimCluster::build_redis(mode).await;
+            let (mut rec, _) = cluster.run_serial(200, 0xABCD, sets(100_000)).await;
             rec.median_us()
         })
     }
@@ -399,8 +233,8 @@ mod tests {
         // form of Redis can offer throughput approaching non-durable Redis").
         let tp = |mode, clients| {
             run_sim(async move {
-                let sim = RedisSim::build(mode, RedisParams::default()).await;
-                let r = sim.run_closed_loop(clients, vus(40_000)).await;
+                let cluster = SimCluster::build_redis(mode).await;
+                let r = cluster.run_closed_loop(clients, vus(40_000), |_| sets(2_000_000)).await;
                 r.throughput_ops_per_sec
             })
         };
@@ -413,6 +247,39 @@ mod tests {
             d_few < nd * 0.35,
             "durable@4 {d_few:.0} should lag far behind non-durable {nd:.0}"
         );
+    }
+
+    #[test]
+    fn witness_crash_moves_sets_onto_the_aof() {
+        // §4.4 on the Redis deployment: with a witness down, a SET cannot
+        // complete on the 1-RTT fast path; the client falls back to asking
+        // the server to sync, which appends it to the AOF.
+        run_sim(async {
+            let cluster = SimCluster::build_redis(RedisMode::Curp { witnesses: 2 }).await;
+            assert_eq!(cluster.backup_servers(), vec![ServerId(2)]);
+            assert_eq!(cluster.witness_servers(), vec![ServerId(10), ServerId(11)]);
+            let aof = cluster.backup_servers()[0];
+            let aof_next = || cluster.server(aof).unwrap().backup().next_seq(cluster.master_id);
+            let client = cluster.client(0).await;
+            let fast = || client.stats.fast_path.load(Ordering::Relaxed);
+            let set = |k: &'static str| Op::Put { key: Bytes::from(k), value: Bytes::from("v") };
+
+            client.update(set("a")).await.unwrap();
+            assert_eq!(fast(), 1, "a healthy deployment takes the fast path");
+            // The 200 µs background flush has not run: "a" is witness-only.
+            assert_eq!(aof_next().unwrap_or(0), 0, "the AOF already holds the first SET");
+
+            cluster.crash_server(cluster.witness_servers()[1]);
+            client.update(set("b")).await.unwrap();
+            assert_eq!(fast(), 1, "with a witness down the fast path must not be taken");
+            let explicit = client.stats.explicit_sync.load(Ordering::Relaxed);
+            assert_eq!(explicit, 1, "the fallback must complete through an explicit sync");
+            assert!(
+                aof_next().unwrap_or(0) >= 2,
+                "the fallback SET must reach the AOF through a sync, next seq {:?}",
+                aof_next()
+            );
+        });
     }
 }
 
@@ -427,9 +294,10 @@ mod batching {
         // ... after the iteration, Redis fsyncs once". Under 20 concurrent
         // clients the average ops-per-fsync must be well above 1.
         run_sim(async move {
-            let sim = RedisSim::build(RedisMode::Durable, RedisParams::default()).await;
-            let r = sim.run_closed_loop(20, vus(40_000)).await;
-            let aof = sim.net.stats(AOF).unwrap();
+            let cluster = SimCluster::build_redis(RedisMode::Durable).await;
+            let sets = |_| RedisOps { command: RedisCommand::Set, keys: 2_000_000 };
+            let r = cluster.run_closed_loop(20, vus(40_000), sets).await;
+            let aof = cluster.net.stats(cluster.backup_servers()[0]).unwrap();
             let syncs = aof.requests_in.load(std::sync::atomic::Ordering::Relaxed);
             let per = r.ops as f64 / syncs as f64;
             assert!(per > 5.0, "only {per:.1} ops per fsync ({} ops, {syncs} fsyncs)", r.ops);

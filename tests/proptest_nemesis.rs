@@ -63,7 +63,7 @@ async fn audit_healed(cluster: &SimCluster) -> Result<(), String> {
 /// audits the heal discipline.
 fn one_nemesis_heals(seed: u64, overlay_only: bool) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let topo = Topology::of(1, 3, false);
+    let topo = Topology::ramcloud(Mode::Curp, &RamcloudParams::new(3), 1);
     let nemesis =
         if overlay_only { draw_overlay(&mut rng, &topo) } else { draw_nemesis(&mut rng, &topo) };
     run_sim(async move {
